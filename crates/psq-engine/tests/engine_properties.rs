@@ -336,40 +336,64 @@ fn recursive_jobs_are_bit_identical_across_engine_thread_counts() {
 }
 
 /// A state-vector job large enough to cross the kernels' intra-state
-/// parallel threshold (`2 × FIXED_CHUNK` amplitudes): the fixed chunk
-/// layout makes the sweeps' floating-point folds independent of any thread
-/// budget, so 1-worker and N-worker engines must return bit-identical
-/// results on the new structure-of-arrays layout.
+/// parallel threshold (`2 × FIXED_CHUNK` amplitudes) runs each sweep as a
+/// region on the engine's pool. Sent alone through `run_batch`, the idle
+/// workers join its regions; in a two-job batch on a two-worker engine no
+/// worker is idle, so each job's chunks run on its own worker; `run_job`
+/// runs them serially on the test thread. The fixed chunk layout makes the
+/// sweeps' floating-point folds independent of who runs the chunks, so all
+/// of these must agree bit for bit across 1-, 2- and 4-worker engines.
 #[test]
 fn large_statevector_jobs_are_bit_identical_across_engine_thread_counts() {
     let n = 1u64 << 18;
-    let job = SearchJob::new(0, n, 8, 191_919)
+    let lone = SearchJob::new(0, n, 8, 191_919)
         .with_backend(BackendHint::StateVector)
         .with_seed(7);
-    let reference = Engine::new(EngineConfig {
-        threads: Some(1),
-        result_cache: false,
-        ..EngineConfig::default()
-    })
-    .run_job(&job)
-    .expect("single-threaded run");
-    for threads in [2usize, 4] {
+    let pair = [
+        lone,
+        SearchJob::new(1, n, 4, 77_777)
+            .with_backend(BackendHint::StateVector)
+            .with_seed(8),
+    ];
+    let run = |threads: usize| {
         let engine = Engine::new(EngineConfig {
             threads: Some(threads),
             result_cache: false,
             ..EngineConfig::default()
         });
-        let result = engine.run_job(&job).expect("multi-threaded run");
+        let mut results = engine.run_batch(&[lone]).results;
+        results.extend(engine.run_batch(&pair).results);
+        results
+    };
+    let reference = run(1);
+    let serial = Engine::new(EngineConfig {
+        threads: Some(1),
+        result_cache: false,
+        ..EngineConfig::default()
+    })
+    .run_job(&lone)
+    .expect("off-pool run");
+    for result in [&reference[0], &reference[1]] {
+        assert_eq!(serial.deterministic_fields(), result.deterministic_fields());
         assert_eq!(
-            reference.deterministic_fields(),
-            result.deterministic_fields(),
-            "{threads}-thread engine diverged"
-        );
-        // Bit-level check on the success estimate, the field with full
-        // floating-point sensitivity to the sweep folds.
-        assert_eq!(
-            reference.success_estimate.to_bits(),
+            serial.success_estimate.to_bits(),
             result.success_estimate.to_bits()
         );
+    }
+    for threads in [2usize, 4] {
+        for (expected, result) in reference.iter().zip(run(threads)) {
+            assert_eq!(
+                expected.deterministic_fields(),
+                result.deterministic_fields(),
+                "{threads}-worker engine diverged on job {}",
+                result.job_id
+            );
+            // Bit-level check on the success estimate, the field with full
+            // floating-point sensitivity to the sweep folds.
+            assert_eq!(
+                expected.success_estimate.to_bits(),
+                result.success_estimate.to_bits()
+            );
+        }
     }
 }

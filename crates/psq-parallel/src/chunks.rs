@@ -1,19 +1,12 @@
 //! Chunk partitioning policy.
 //!
 //! All data-parallel kernels in this workspace operate on contiguous slices
-//! of amplitudes.  The policy here decides how many chunks to create for a
-//! given problem size: enough to keep every core busy, but never so small
-//! that per-thread overhead dominates (the state-vector kernels touch each
-//! amplitude only a handful of times, so they are memory-bound and chunk
-//! granularity matters).
-
-/// Default minimum number of elements a chunk must contain before it is worth
-/// spawning a thread for it.
-///
-/// Below this size the serial kernel is faster than the cost of a thread
-/// round-trip; the figure is deliberately conservative (64 KiB of
-/// `Complex64`).
-pub const DEFAULT_MIN_CHUNK: usize = 4096;
+//! of amplitudes, cut into a **fixed** layout: chunks of one constant size,
+//! so the layout — and every per-chunk floating-point fold — depends only on
+//! the problem size, never on how many threads run the chunks. The
+//! state-vector kernels touch each amplitude only a handful of times, so
+//! they are memory-bound and the chunk size trades claim overhead against
+//! load balance.
 
 /// Chunk size of the **fixed-layout** kernels (`32 Ki` elements — 256 KiB
 /// per `f64` plane chunk).
@@ -25,41 +18,16 @@ pub const DEFAULT_MIN_CHUNK: usize = 4096;
 /// [`chunk_ranges_fixed`].
 pub const FIXED_CHUNK: usize = 1 << 15;
 
-/// Returns the number of worker threads to use for data-parallel kernels.
+/// Returns the number of worker threads to use by default.
 ///
 /// This is `std::thread::available_parallelism()` capped at 64, falling back
-/// to 1 when the platform cannot report it.  The cap keeps chunk sizes sane
-/// on very wide machines given the memory-bound nature of the kernels.
+/// to 1 when the platform cannot report it. [`crate::WorkerPool`] sizes
+/// itself with it.
 pub fn num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(64)
-}
-
-/// Computes the chunk layout for a problem of `len` elements.
-///
-/// Returns a vector of `(start, end)` half-open ranges covering `0..len`
-/// exactly once.  The number of chunks is at most `max_threads` and each
-/// chunk (except possibly the last) has at least `min_chunk` elements; when
-/// `len < 2 * min_chunk` a single chunk is returned so callers fall back to
-/// the serial path.
-pub fn chunk_ranges(len: usize, max_threads: usize, min_chunk: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let max_threads = max_threads.max(1);
-    let min_chunk = min_chunk.max(1);
-    let by_threads = len.div_ceil(max_threads);
-    let chunk = by_threads.max(min_chunk);
-    let mut ranges = Vec::with_capacity(len.div_ceil(chunk));
-    let mut start = 0usize;
-    while start < len {
-        let end = (start + chunk).min(len);
-        ranges.push((start, end));
-        start = end;
-    }
-    ranges
 }
 
 /// Computes the **fixed** chunk layout: `⌈len / chunk⌉` ranges of exactly
@@ -86,62 +54,6 @@ pub fn chunk_ranges_fixed(len: usize, chunk: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Computes a chunk layout whose boundaries are multiples of `alignment`.
-///
-/// The per-block diffusion operator of the partial-search algorithm must
-/// never split a database block across two chunks; this variant rounds every
-/// chunk size up to the nearest multiple of `alignment` (the block size).
-/// `len` must itself be a multiple of `alignment`.
-pub fn chunk_ranges_aligned(
-    len: usize,
-    max_threads: usize,
-    min_chunk: usize,
-    alignment: usize,
-) -> Vec<(usize, usize)> {
-    assert!(alignment >= 1, "alignment must be at least 1");
-    assert!(
-        len.is_multiple_of(alignment),
-        "length {len} must be a multiple of the alignment {alignment}"
-    );
-    if len == 0 {
-        return Vec::new();
-    }
-    let max_threads = max_threads.max(1);
-    let by_threads = len.div_ceil(max_threads);
-    let raw_chunk = by_threads.max(min_chunk.max(1));
-    // Round up to a multiple of the alignment.
-    let chunk = raw_chunk.div_ceil(alignment) * alignment;
-    let mut ranges = Vec::with_capacity(len.div_ceil(chunk));
-    let mut start = 0usize;
-    while start < len {
-        let end = (start + chunk).min(len);
-        ranges.push((start, end));
-        start = end;
-    }
-    ranges
-}
-
-/// Splits a mutable slice into the chunks described by [`chunk_ranges`],
-/// returning the sub-slices together with their starting offsets.
-pub fn split_mut_with_offsets<T>(
-    data: &mut [T],
-    max_threads: usize,
-    min_chunk: usize,
-) -> Vec<(usize, &mut [T])> {
-    let ranges = chunk_ranges(data.len(), max_threads, min_chunk);
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut rest = data;
-    let mut consumed = 0usize;
-    for (start, end) in ranges {
-        debug_assert_eq!(start, consumed);
-        let (head, tail) = rest.split_at_mut(end - start);
-        out.push((start, head));
-        rest = tail;
-        consumed = end;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,90 +66,49 @@ mod tests {
 
     #[test]
     fn empty_problem_has_no_chunks() {
-        assert!(chunk_ranges(0, 8, 16).is_empty());
+        assert!(chunk_ranges_fixed(0, 16).is_empty());
     }
 
     #[test]
     fn small_problem_is_one_chunk() {
-        let ranges = chunk_ranges(100, 8, 4096);
-        assert_eq!(ranges, vec![(0, 100)]);
+        assert_eq!(chunk_ranges_fixed(100, FIXED_CHUNK), vec![(0, 100)]);
     }
 
     #[test]
     fn chunks_cover_range_exactly_once() {
         for len in [1usize, 5, 4096, 4097, 100_000, 1 << 20] {
-            for threads in [1usize, 2, 7, 16] {
-                let ranges = chunk_ranges(len, threads, 1024);
+            for chunk in [1usize, 7, 1024, FIXED_CHUNK] {
+                let ranges = chunk_ranges_fixed(len, chunk);
                 assert_eq!(ranges.first().unwrap().0, 0);
                 assert_eq!(ranges.last().unwrap().1, len);
                 for w in ranges.windows(2) {
                     assert_eq!(w[0].1, w[1].0, "chunks must be contiguous");
-                    assert!(w[0].0 < w[0].1);
+                    assert_eq!(w[0].1 - w[0].0, chunk, "only the last chunk is short");
                 }
-                assert!(ranges.len() <= threads.max(1) + 1);
+                assert_eq!(ranges.len(), len.div_ceil(chunk));
             }
         }
     }
 
     #[test]
-    fn chunk_count_respects_thread_budget() {
-        let ranges = chunk_ranges(1 << 16, 4, 1);
-        assert!(ranges.len() <= 4);
-    }
-
-    #[test]
     fn aligned_chunks_respect_alignment() {
+        // A chunk size rounded up to a multiple of the block size (the
+        // per-block kernels' rule) never splits a block.
         for (len, align) in [
             (12usize, 4usize),
             (1 << 16, 128),
             (4096 * 6, 4096),
             (64, 64),
+            (3 << 15, 3),
         ] {
-            for threads in [1usize, 3, 8] {
-                let ranges = chunk_ranges_aligned(len, threads, 1000, align);
-                assert_eq!(ranges.first().unwrap().0, 0);
-                assert_eq!(ranges.last().unwrap().1, len);
-                for (start, end) in &ranges {
-                    assert_eq!(start % align, 0, "chunk start must be aligned");
-                    assert!(end == &len || end % align == 0, "chunk end must be aligned");
-                }
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].1, w[1].0);
-                }
+            let chunk = FIXED_CHUNK.div_ceil(align) * align;
+            let ranges = chunk_ranges_fixed(len, chunk);
+            assert_eq!(ranges.first().unwrap().0, 0);
+            assert_eq!(ranges.last().unwrap().1, len);
+            for (start, end) in &ranges {
+                assert_eq!(start % align, 0, "chunk start must be aligned");
+                assert_eq!(end % align, 0, "chunk end must be aligned");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of the alignment")]
-    fn aligned_chunks_reject_misaligned_length() {
-        chunk_ranges_aligned(10, 2, 1, 4);
-    }
-
-    #[test]
-    fn split_mut_returns_matching_offsets() {
-        let mut data: Vec<u32> = (0..10_000).collect();
-        let chunks = split_mut_with_offsets(&mut data, 8, 1000);
-        let mut seen = 0usize;
-        for (offset, chunk) in &chunks {
-            assert_eq!(*offset, seen);
-            assert_eq!(chunk[0], *offset as u32);
-            seen += chunk.len();
-        }
-        assert_eq!(seen, 10_000);
-    }
-
-    #[test]
-    fn split_mut_allows_independent_mutation() {
-        let mut data = vec![0u64; 8192];
-        {
-            let chunks = split_mut_with_offsets(&mut data, 4, 1024);
-            for (offset, chunk) in chunks {
-                for (i, x) in chunk.iter_mut().enumerate() {
-                    *x = (offset + i) as u64;
-                }
-            }
-        }
-        assert!(data.iter().enumerate().all(|(i, &x)| x == i as u64));
     }
 }

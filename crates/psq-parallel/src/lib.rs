@@ -1,36 +1,30 @@
-//! Lightweight data-parallel primitives for the partial-quantum-search
-//! workspace.
+//! Data-parallel primitives for the partial-quantum-search workspace: one
+//! persistent worker pool, and fixed-chunk kernels that run on it.
 //!
 //! The state-vector simulator in `psq-sim` applies streaming kernels (sign
 //! flips, inversion about the average, probability sums) over amplitude
-//! arrays of up to `2^22` entries; the experiment harness runs thousands of
-//! independent Monte-Carlo trials.  This crate provides exactly the
-//! parallelism those two workloads need and nothing more:
+//! arrays of up to `2^22` entries, and the batch engine runs many
+//! independent jobs at once. This crate provides exactly the parallelism
+//! those two workloads need, on one runtime:
 //!
-//! * [`scope`] — fork-join chunked kernels over slices built on
-//!   `std::thread::scope` (no `'static` bounds, deterministic reduction
-//!   order);
-//! * [`pool`] — a persistent [`pool::WorkerPool`] fed over crossbeam channels
-//!   for many small independent jobs;
-//! * [`chunks`] — the shared chunk-sizing policy.
+//! * [`pool`] — a persistent work-stealing [`pool::WorkerPool`] that runs
+//!   jobs, and lets a job's sweep run as a *parallel region* that idle
+//!   sibling workers join (no thread is spawned per sweep);
+//! * [`scope`] — the fixed-chunk kernels over slices
+//!   ([`par_chunks_fixed`], [`par_map_chunks_fixed`],
+//!   [`par_zip_chunks_fixed`]), which run as regions on the calling worker's
+//!   pool and serially, in chunk order, anywhere else;
+//! * [`chunks`] — the fixed chunk layout and the default pool size.
 //!
-//! The design follows the HPC guidance used for this reproduction: prefer
-//! simple data-parallel structure with data-race freedom enforced by the
-//! borrow checker (disjoint `split_at_mut` chunks), keep reductions
-//! deterministic, and let callers opt into explicit thread budgets for
-//! benchmarking.
+//! Determinism: the chunk layout is a pure function of the slice length and
+//! chunk size, and per-chunk results come back in chunk order, so folds over
+//! them are bit-identical at any pool size, on or off the pool. Data-race
+//! freedom comes from the borrow checker (disjoint `split_at_mut` chunks).
 
 pub mod chunks;
 pub mod pool;
 pub mod scope;
 
-pub use chunks::{
-    chunk_ranges, chunk_ranges_aligned, chunk_ranges_fixed, num_threads, DEFAULT_MIN_CHUNK,
-    FIXED_CHUNK,
-};
+pub use chunks::{chunk_ranges_fixed, num_threads, FIXED_CHUNK};
 pub use pool::WorkerPool;
-pub use scope::{
-    par_chunks_aligned_mut, par_chunks_fixed, par_chunks_fixed_with, par_chunks_mut,
-    par_chunks_mut_with, par_for_each_indexed, par_map_chunks_fixed, par_map_reduce,
-    par_map_reduce_with, par_sum_by, par_tasks, par_zip_chunks_fixed,
-};
+pub use scope::{par_chunks_fixed, par_map_chunks_fixed, par_zip_chunks_fixed};

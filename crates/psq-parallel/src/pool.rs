@@ -1,10 +1,5 @@
-//! A persistent work-stealing worker pool.
-//!
-//! The fork-join kernels in [`crate::scope`] spawn fresh scoped threads per
-//! call, which is the right trade-off for long-running state-vector sweeps.
-//! Monte-Carlo experiment drivers and the batch engine, however, submit very
-//! many small independent jobs (one per random target), where per-call
-//! thread spawning — or a single lock-guarded shared queue — would dominate.
+//! A persistent work-stealing worker pool, and the parallel regions the
+//! fixed-chunk kernels run on.
 //!
 //! `WorkerPool` keeps a fixed set of workers alive and schedules with the
 //! classic work-stealing structure (`crossbeam::deque`):
@@ -23,11 +18,40 @@
 //! [`WorkerPool::map`] as a panic once the batch's results are collected, and
 //! fire-and-forget panics are swallowed); workers never die mid-service, so
 //! [`Drop`] always joins cleanly even after a panicked job.
+//!
+//! # Parallel regions
+//!
+//! A job that sweeps a large array splits the sweep across the same workers
+//! instead of spawning threads: the fixed-chunk kernels in [`crate::scope`]
+//! call `run_region`, which publishes the sweep's chunk count and chunk body
+//! as a *region* in the calling worker's slot. The caller and every idle
+//! sibling claim chunk indices from one atomic counter until none are left;
+//! the caller then withdraws the region and waits until every helper has
+//! left it. The rules:
+//!
+//! * a caller off the pool — or already inside a region — runs the chunks in
+//!   index order on its own thread;
+//! * only idle workers help: a worker busy with a job never does, so a batch
+//!   that keeps every worker busy runs each job's chunks on its own worker;
+//! * an idle worker sleeps on the pool's condition variable and neither
+//!   spins nor takes a lock while no region is open; publishing a region
+//!   wakes sleepers only when there are some;
+//! * a panicking chunk stops further claims, and the caller re-raises the
+//!   first panic only after every claimed chunk has finished; the workers
+//!   survive.
+//!
+//! Where a chunk runs never changes what it computes: the caller owns the
+//! chunk layout and collects per-chunk results by index, so the output is
+//! bit-identical at any pool size.
 
 use crossbeam::channel::unbounded;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::any::Any;
+use std::cell::{Cell, OnceCell};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ptr;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -38,28 +62,220 @@ struct Coord {
     shutdown: bool,
 }
 
+/// One published sweep: `chunks` calls of `body`, claimed through `next`.
+struct Region<'a> {
+    body: &'a (dyn Fn(usize) + Sync),
+    chunks: usize,
+    next: AtomicUsize,
+    /// Set by the first panicking chunk; later claims are abandoned.
+    panicked: AtomicBool,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Region<'_> {
+    /// Claims and runs chunks until none are left, withdrawing the region
+    /// from `slot` once they are (so idle workers stop visiting it). Returns
+    /// whether any chunk was claimed.
+    fn work(&self, slot: &RegionSlot) -> bool {
+        let mut claimed = false;
+        loop {
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            if index >= self.chunks || self.panicked.load(Ordering::Relaxed) {
+                slot.region.store(ptr::null_mut(), Ordering::SeqCst);
+                return claimed;
+            }
+            claimed = true;
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(index))) {
+                self.panicked.store(true, Ordering::Relaxed);
+                self.panic
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_or_insert(payload);
+            }
+        }
+    }
+}
+
+/// A worker's region slot: the region it has open (if any), and the number
+/// of helpers that may be looking at it.
+struct RegionSlot {
+    /// Null when no region is open. The region lives on its caller's stack;
+    /// its lifetime is erased here and upheld by the visitor protocol.
+    region: AtomicPtr<Region<'static>>,
+    /// Helpers between their increment (made before they load `region`) and
+    /// their decrement (made after their last access to the region).
+    visitors: AtomicUsize,
+}
+
+impl RegionSlot {
+    /// Helps the region open in this slot, if any. Returns whether a chunk
+    /// was claimed.
+    fn help(&self) -> bool {
+        if self.region.load(Ordering::Relaxed).is_null() {
+            return false;
+        }
+        self.visitors.fetch_add(1, Ordering::SeqCst);
+        let region = self.region.load(Ordering::SeqCst);
+        let claimed = !region.is_null() && {
+            // SAFETY: the caller publishes `region` before it claims any
+            // chunk and keeps it alive until it has nulled this slot and then
+            // seen `visitors` at zero (`Shared::open_region`). Our increment
+            // precedes our load in the single SeqCst order, so either the
+            // load saw null, or the caller's wait sees our visit and blocks
+            // until the decrement below, which follows our last access.
+            let region = unsafe { &*region };
+            region.work(self)
+        };
+        self.visitors.fetch_sub(1, Ordering::Release);
+        claimed
+    }
+}
+
 /// State shared between the pool handle and every worker thread.
 struct Shared {
     injector: Injector<Job>,
     stealers: Vec<Stealer<Job>>,
+    /// One region slot per worker, indexed like `stealers`.
+    regions: Vec<RegionSlot>,
+    /// Workers inside (or committed to) `Condvar::wait`; changed only under
+    /// the coord mutex, read without it by region publishers.
+    sleepers: AtomicUsize,
     coord: Mutex<Coord>,
     wakeup: Condvar,
 }
 
+thread_local! {
+    /// The pool and slot index of the worker running on this thread.
+    static WORKER: OnceCell<(Arc<Shared>, usize)> = const { OnceCell::new() };
+    /// Whether this thread is running region chunks; a sweep nested in a
+    /// chunk runs serially.
+    static IN_REGION: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as inside a region until dropped.
+struct InRegion;
+
+impl InRegion {
+    fn enter() -> Self {
+        IN_REGION.set(true);
+        InRegion
+    }
+}
+
+impl Drop for InRegion {
+    fn drop(&mut self) {
+        IN_REGION.set(false);
+    }
+}
+
+/// Nulls a region slot and waits until no helper is inside it; runs on
+/// drop so the region cannot outlive its publication even on unwind.
+struct Withdraw<'s>(&'s RegionSlot);
+
+impl Drop for Withdraw<'_> {
+    fn drop(&mut self) {
+        self.0.region.store(ptr::null_mut(), Ordering::SeqCst);
+        let mut spins = 0u32;
+        // Helpers leave within one chunk's run time.
+        while self.0.visitors.load(Ordering::SeqCst) != 0 {
+            if spins < 64 {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
 impl Shared {
     fn lock_coord(&self) -> MutexGuard<'_, Coord> {
-        self.coord
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.coord.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Whether any queue visibly holds work. Only called on the idle path
-    /// *while holding the coord mutex*: a submitter makes its job visible
-    /// (injector push) before it takes that mutex to notify, so a worker
-    /// that sees everything empty under the lock is guaranteed to be inside
-    /// `Condvar::wait` before the wakeup for any concurrent push fires.
+    /// Whether any queue visibly holds work or any region is open. Only
+    /// called on the idle path *while holding the coord mutex*, after the
+    /// `sleepers` increment: a submitter makes its job visible (injector
+    /// push) before it takes that mutex to notify, and a region publisher
+    /// stores its region before it reads `sleepers`, so a worker that sees
+    /// nothing here is guaranteed to be woken for either.
     fn work_in_sight(&self) -> bool {
-        !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
+        !self.injector.is_empty()
+            || self.stealers.iter().any(|s| !s.is_empty())
+            || self
+                .regions
+                .iter()
+                .any(|slot| !slot.region.load(Ordering::SeqCst).is_null())
+    }
+
+    /// Wakes sleeping workers. Must be called *after* the work is visible:
+    /// the lock round trip serialises with the idle path's emptiness check,
+    /// so any worker that missed the work is already waiting when the notify
+    /// fires (see `work_in_sight`).
+    fn signal(&self, all: bool) {
+        drop(self.lock_coord());
+        if all {
+            self.wakeup.notify_all();
+        } else {
+            self.wakeup.notify_one();
+        }
+    }
+
+    /// Idle worker `index` helps the first open region it finds among its
+    /// siblings' slots. Returns whether it claimed a chunk.
+    fn help_regions(&self, index: usize) -> bool {
+        let _nested = InRegion::enter();
+        let count = self.regions.len();
+        (1..count).any(|offset| self.regions[(index + offset) % count].help())
+    }
+
+    /// Runs `body(0..chunks)` as a region in worker `index`'s slot, with idle
+    /// siblings helping; re-raises the first chunk panic once every claimed
+    /// chunk has finished.
+    fn open_region(&self, index: usize, chunks: usize, body: &(dyn Fn(usize) + Sync)) {
+        let _nested = InRegion::enter();
+        let region = Region {
+            body,
+            chunks,
+            next: AtomicUsize::new(0),
+            panicked: AtomicBool::new(false),
+            panic: Mutex::new(None),
+        };
+        let slot = &self.regions[index];
+        let withdraw = Withdraw(slot);
+        slot.region
+            .store(ptr::from_ref(&region).cast_mut().cast(), Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            self.signal(true);
+        }
+        region.work(slot);
+        drop(withdraw);
+        let panic = region
+            .panic
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+    }
+}
+
+/// Runs `body(i)` for every `i` in `0..chunks`. On a pool worker the chunks
+/// form a region that idle sibling workers join; anywhere else (and inside a
+/// region) they run in index order on the calling thread. Returns after
+/// every chunk has run; a chunk's panic propagates to the caller.
+pub(crate) fn run_region(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
+    let pooled = chunks > 1
+        && !IN_REGION.get()
+        && WORKER.with(|worker| match worker.get() {
+            Some((shared, index)) => {
+                shared.open_region(*index, chunks, body);
+                true
+            }
+            None => false,
+        });
+    if !pooled {
+        (0..chunks).for_each(body);
     }
 }
 
@@ -71,8 +287,12 @@ pub struct WorkerPool {
 }
 
 /// Per-worker scheduling loop: local LIFO deque first, then an injector
-/// batch, then stealing from siblings; park only when everything is empty.
+/// batch, then stealing from siblings, then open regions; park only when
+/// everything is empty.
 fn worker_loop(shared: Arc<Shared>, index: usize, local: Worker<Job>) {
+    WORKER.with(|worker| {
+        let _ = worker.set((Arc::clone(&shared), index));
+    });
     // Claim this worker's share of the injector into `local` and return one
     // job, or steal from a sibling. `None` only after a full sweep saw every
     // queue empty (retries are resolved inside the sweep).
@@ -108,6 +328,9 @@ fn worker_loop(shared: Arc<Shared>, index: usize, local: Worker<Job>) {
             let _ = catch_unwind(AssertUnwindSafe(job));
             continue;
         }
+        if shared.help_regions(index) {
+            continue;
+        }
         let coord = shared.lock_coord();
         if coord.shutdown {
             drop(coord);
@@ -117,15 +340,19 @@ fn worker_loop(shared: Arc<Shared>, index: usize, local: Worker<Job>) {
             }
             return;
         }
-        // Checked under the coord lock — see `work_in_sight` for why this
-        // cannot miss a concurrent submission's wakeup.
-        if shared.work_in_sight() {
-            continue;
-        }
-        let _unused = shared
-            .wakeup
-            .wait(coord)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        shared.sleepers.fetch_add(1, Ordering::SeqCst);
+        // Checked under the coord lock after the `sleepers` increment — see
+        // `work_in_sight` for why this cannot miss a wakeup.
+        let coord = if shared.work_in_sight() {
+            coord
+        } else {
+            shared
+                .wakeup
+                .wait(coord)
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+        drop(coord);
     }
 }
 
@@ -138,9 +365,17 @@ impl WorkerPool {
         // into the thread it belongs to.
         let locals: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_lifo()).collect();
         let stealers: Vec<Stealer<Job>> = locals.iter().map(|w| w.stealer()).collect();
+        let regions = (0..threads)
+            .map(|_| RegionSlot {
+                region: AtomicPtr::new(ptr::null_mut()),
+                visitors: AtomicUsize::new(0),
+            })
+            .collect();
         let shared = Arc::new(Shared {
             injector: Injector::new(),
             stealers,
+            regions,
+            sleepers: AtomicUsize::new(0),
             coord: Mutex::new(Coord { shutdown: false }),
             wakeup: Condvar::new(),
         });
@@ -168,23 +403,10 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Wakes workers for queued work. Must be called *after* the push: the
-    /// lock round trip serialises with the idle path's emptiness check, so
-    /// any worker that missed the push is already waiting when the notify
-    /// fires (see `Shared::work_in_sight`).
-    fn signal_work(&self, all: bool) {
-        drop(self.shared.lock_coord());
-        if all {
-            self.shared.wakeup.notify_all();
-        } else {
-            self.shared.wakeup.notify_one();
-        }
-    }
-
     /// Submits a fire-and-forget job.
     pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
         self.shared.injector.push(Box::new(job));
-        self.signal_work(false);
+        self.shared.signal(false);
     }
 
     /// Runs `jobs` on the pool and returns their results in submission order.
@@ -211,7 +433,7 @@ impl WorkerPool {
                 let _ = tx.send((index, value));
             }));
         }
-        self.signal_work(true);
+        self.shared.signal(true);
         drop(result_tx);
         let mut results: Vec<Option<A>> = Vec::new();
         results.resize_with(expected, || None);
@@ -364,5 +586,223 @@ mod tests {
         assert!(outcome.is_err(), "map must propagate the lost result");
         // And the pool still shuts down cleanly afterwards.
         drop(pool);
+    }
+
+    // ----- parallel regions ---------------------------------------------
+
+    use crate::scope::{par_chunks_fixed, par_map_chunks_fixed};
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+    use std::thread::{self, ThreadId};
+    use std::time::{Duration, Instant};
+
+    /// Generous bound on waiting for a parked sibling to join a region.
+    const JOIN_DEADLINE: Duration = Duration::from_secs(10);
+    /// How long a chunk stays running after a sibling chunk's panic, unless
+    /// the caller's unwind is caught first: a pool that waits for claimed
+    /// chunks passes regardless, one that unwinds early is caught reading
+    /// an unfinished chunk.
+    const HOLD_AFTER_PANIC: Duration = Duration::from_millis(100);
+
+    /// Runs `job` on one of `pool`'s workers and returns its result.
+    fn on_pool<R: Send + 'static>(
+        pool: &WorkerPool,
+        job: impl FnOnce() -> R + Send + 'static,
+    ) -> R {
+        pool.map(vec![job]).pop().expect("one job, one result")
+    }
+
+    /// Sleeps in short steps until `done` holds or `deadline` passes.
+    fn wait_until(deadline: Instant, done: impl Fn() -> bool) {
+        while !done() && Instant::now() < deadline {
+            thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    /// Counts a chunk as started on creation and as finished on drop, so a
+    /// panicking chunk counts as finished once it has unwound.
+    struct ChunkRun<'a>(&'a AtomicUsize);
+
+    impl<'a> ChunkRun<'a> {
+        fn start(started: &AtomicUsize, finished: &'a AtomicUsize) -> Self {
+            started.fetch_add(1, Ordering::SeqCst);
+            ChunkRun(finished)
+        }
+    }
+
+    impl Drop for ChunkRun<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn panic_message(payload: &(dyn Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("")
+    }
+
+    /// The pool still runs jobs and regions correctly.
+    fn assert_pool_usable(pool: &WorkerPool) {
+        let sums = on_pool(pool, || {
+            let data: Vec<u64> = (0..4096).collect();
+            par_map_chunks_fixed(&data, 256, |_, c| c.iter().sum::<u64>())
+        });
+        assert_eq!(sums.len(), 16);
+        assert_eq!(sums.iter().sum::<u64>(), 4095 * 4096 / 2);
+        assert_eq!(
+            pool.map((0..8).map(|i| move || i * 3).collect::<Vec<_>>()),
+            (0..8).map(|i| i * 3).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn lone_region_on_an_idle_pool_runs_chunks_on_more_than_one_thread() {
+        let pool = WorkerPool::new(4);
+        let (threads, offsets) = on_pool(&pool, || {
+            let deadline = Instant::now() + JOIN_DEADLINE;
+            let seen = Mutex::new(HashSet::<ThreadId>::new());
+            let first = AtomicBool::new(true);
+            let data = vec![0u8; 64];
+            let offsets = par_map_chunks_fixed(&data, 1, |offset, _| {
+                seen.lock().unwrap().insert(thread::current().id());
+                // The first chunk holds its thread until a second thread
+                // has run a chunk: only helping siblings can release it.
+                if first.swap(false, Ordering::SeqCst) {
+                    wait_until(deadline, || seen.lock().unwrap().len() > 1);
+                }
+                offset
+            });
+            (seen.into_inner().unwrap().len(), offsets)
+        });
+        assert!(threads > 1, "a lone region ran on {threads} thread(s)");
+        assert_eq!(
+            offsets,
+            (0..64).collect::<Vec<_>>(),
+            "results in chunk order"
+        );
+    }
+
+    #[test]
+    fn busy_workers_never_help_a_sibling_region() {
+        let pool = WorkerPool::new(2);
+        let barrier = Arc::new(Barrier::new(2));
+        let jobs: Vec<_> = (0..2)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                move || {
+                    // Both workers are busy from here until the second wait.
+                    barrier.wait();
+                    let own = thread::current().id();
+                    let mut data = vec![1u32; 256];
+                    let foreign = par_chunks_fixed(&mut data, 8, |_, c| {
+                        c.iter_mut().for_each(|x| *x += 1);
+                        thread::current().id() != own
+                    });
+                    barrier.wait();
+                    (foreign.iter().filter(|&&f| f).count(), data)
+                }
+            })
+            .collect();
+        for (foreign, data) in pool.map(jobs) {
+            assert_eq!(foreign, 0, "a busy worker ran a sibling's chunk");
+            assert!(data.iter().all(|&x| x == 2));
+        }
+    }
+
+    #[test]
+    fn a_panicking_caller_chunk_unwinds_after_claimed_chunks_finish() {
+        let pool = WorkerPool::new(4);
+        let (message, started, finished, helped) = on_pool(&pool, || {
+            let deadline = Instant::now() + JOIN_DEADLINE;
+            let caller = thread::current().id();
+            let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let helper_running = AtomicBool::new(false);
+            let caller_panicking = AtomicBool::new(false);
+            let caught = AtomicBool::new(false);
+            let data = vec![0u8; 64];
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                par_map_chunks_fixed(&data, 1, |_, _| {
+                    let _run = ChunkRun::start(&started, &finished);
+                    if thread::current().id() == caller {
+                        wait_until(deadline, || helper_running.load(Ordering::SeqCst));
+                        caller_panicking.store(true, Ordering::SeqCst);
+                        panic!("caller chunk panics");
+                    }
+                    helper_running.store(true, Ordering::SeqCst);
+                    // Every helper chunk is still running when the caller's
+                    // chunk panics, and keeps running for a while after.
+                    wait_until(deadline, || caller_panicking.load(Ordering::SeqCst));
+                    wait_until(Instant::now() + HOLD_AFTER_PANIC, || {
+                        caught.load(Ordering::SeqCst)
+                    });
+                })
+            }));
+            let counts = (
+                started.load(Ordering::SeqCst),
+                finished.load(Ordering::SeqCst),
+            );
+            caught.store(true, Ordering::SeqCst);
+            let payload = outcome.expect_err("the caller's panic propagates");
+            (
+                panic_message(payload.as_ref()).to_string(),
+                counts.0,
+                counts.1,
+                helper_running.load(Ordering::SeqCst),
+            )
+        });
+        assert_eq!(message, "caller chunk panics");
+        assert!(helped, "a helper joined the region");
+        assert_eq!(started, finished, "the caller unwound past a running chunk");
+        assert_pool_usable(&pool);
+    }
+
+    #[test]
+    fn a_panicking_helper_chunk_unwinds_the_caller_after_claimed_chunks_finish() {
+        let pool = WorkerPool::new(4);
+        let (message, started, finished) = on_pool(&pool, || {
+            let deadline = Instant::now() + JOIN_DEADLINE;
+            let caller = thread::current().id();
+            let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let first_helper = AtomicBool::new(true);
+            let helper_panicked = AtomicBool::new(false);
+            let caught = AtomicBool::new(false);
+            let mut data = vec![0u8; 64];
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                par_chunks_fixed(&mut data, 1, |_, c| {
+                    let _run = ChunkRun::start(&started, &finished);
+                    if thread::current().id() != caller
+                        && first_helper.swap(false, Ordering::SeqCst)
+                    {
+                        helper_panicked.store(true, Ordering::SeqCst);
+                        panic!("helper chunk panics");
+                    }
+                    // Every other chunk, on the caller or on another helper,
+                    // is still running when the helper's chunk panics, and
+                    // keeps running for a while after.
+                    wait_until(deadline, || helper_panicked.load(Ordering::SeqCst));
+                    wait_until(Instant::now() + HOLD_AFTER_PANIC, || {
+                        caught.load(Ordering::SeqCst)
+                    });
+                    c[0] = 1;
+                })
+            }));
+            let counts = (
+                started.load(Ordering::SeqCst),
+                finished.load(Ordering::SeqCst),
+            );
+            caught.store(true, Ordering::SeqCst);
+            let payload = outcome.expect_err("the helper's panic reaches the caller");
+            (
+                panic_message(payload.as_ref()).to_string(),
+                counts.0,
+                counts.1,
+            )
+        });
+        assert_eq!(message, "helper chunk panics");
+        assert_eq!(started, finished, "the caller unwound past a running chunk");
+        assert_pool_usable(&pool);
     }
 }

@@ -1,127 +1,65 @@
-//! Fork-join data-parallel kernels over slices.
+//! Fixed-chunk data-parallel kernels over slices.
 //!
-//! These are thin wrappers around `std::thread::scope`: each call splits the
-//! slice into contiguous chunks (policy in [`crate::chunks`]), runs the
-//! worker closure on every chunk from its own thread, and joins before
-//! returning.  Because the scope guarantees the threads finish before the
-//! borrow ends, no `'static` bounds or `Arc`s are needed and the kernels
-//! compose naturally with the simulator's borrowed state vectors.
+//! Each kernel cuts its slice into the fixed layout of
+//! [`crate::chunks::chunk_ranges_fixed`] — a pure function of the length and
+//! the chunk size, never of the thread count — runs `f` once per chunk, and
+//! returns the per-chunk results in chunk order. The chunks run as a
+//! parallel region of the calling worker's [`crate::WorkerPool`]: the caller
+//! and any idle sibling workers claim them, and no thread is spawned. A
+//! caller off the pool runs the same chunks in order on its own thread.
 //!
-//! The API mirrors the small subset of `rayon` this workspace needs
-//! (`for_each` over chunks, indexed `for_each`, and `map_reduce`), keeping
-//! the dependency footprint to the standard library.
+//! A caller that folds the returned per-chunk accumulators in order
+//! therefore gets a **bit-identical** floating-point result at any pool
+//! size, on or off the pool — the reproducibility contract of the fused
+//! simulation sweeps.
 
-use crate::chunks::{chunk_ranges, split_mut_with_offsets, DEFAULT_MIN_CHUNK};
+use crate::chunks::chunk_ranges_fixed;
+use crate::pool::run_region;
+use std::sync::{Mutex, PoisonError};
 
-/// Applies `f` to disjoint mutable chunks of `data` in parallel.
-///
-/// `f` receives the starting index of the chunk and the chunk itself.  Falls
-/// back to a single serial call when the problem is too small to benefit from
-/// threads.
-pub fn par_chunks_mut<T, F>(data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    par_chunks_mut_with(data, crate::chunks::num_threads(), DEFAULT_MIN_CHUNK, f);
-}
-
-/// As [`par_chunks_mut`] but with an explicit thread budget and minimum chunk
-/// size (used by tests and by benchmarks that sweep thread counts).
-pub fn par_chunks_mut_with<T, F>(data: &mut [T], max_threads: usize, min_chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    let chunks = split_mut_with_offsets(data, max_threads, min_chunk);
-    if chunks.len() == 1 {
-        for (offset, chunk) in chunks {
-            f(offset, chunk);
-        }
-        return;
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (offset, chunk) in chunks {
-            scope.spawn(move || f(offset, chunk));
-        }
+/// Runs `f` on every part — as one region chunk each — and returns the
+/// results in part order. Each part travels to whichever thread claims its
+/// index through its own mutex, so the disjoint borrows inside the parts
+/// need no unsafe code.
+fn map_parts<P: Send, A: Send>(parts: Vec<P>, f: impl Fn(P) -> A + Sync) -> Vec<A> {
+    let inputs: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let outputs: Vec<Mutex<Option<A>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
+    run_region(inputs.len(), &|index| {
+        let part = inputs[index]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("each chunk index is claimed once");
+        let value = f(part);
+        *outputs[index]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(value);
     });
+    outputs
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every chunk produced a result")
+        })
+        .collect()
 }
 
-/// Applies `f` to disjoint mutable chunks of `data` whose boundaries are
-/// multiples of `alignment` (e.g. the database block size), in parallel.
-///
-/// `data.len()` must be a multiple of `alignment`.
-pub fn par_chunks_aligned_mut<T, F>(data: &mut [T], alignment: usize, min_chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    let ranges = crate::chunks::chunk_ranges_aligned(
-        data.len(),
-        crate::chunks::num_threads(),
-        min_chunk,
-        alignment,
-    );
-    if ranges.len() == 1 {
-        f(0, data);
-        return;
-    }
-    // Materialise the disjoint sub-slices up front so each spawned thread
-    // borrows only its own chunk.
-    let mut chunks: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
-    let mut rest = data;
-    let mut consumed = 0usize;
-    for (start, end) in ranges {
-        debug_assert_eq!(start, consumed);
-        let (head, tail) = rest.split_at_mut(end - start);
-        chunks.push((start, head));
-        rest = tail;
-        consumed = end;
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (offset, chunk) in chunks {
-            scope.spawn(move || f(offset, chunk));
-        }
-    });
-}
-
-/// Runs `f` over the **fixed** chunk layout of `data` (see
+/// Runs `f(offset, chunk)` over the **fixed** chunk layout of `data` (see
 /// [`crate::chunks::chunk_ranges_fixed`]) and returns the per-chunk results
-/// in chunk order, using the machine thread budget.
+/// in chunk order.
 ///
 /// Because the chunk boundaries depend only on `data.len()` and `chunk`,
 /// and the results come back in chunk-index order, a caller that folds the
-/// returned accumulators gets a **bit-identical** floating-point result on
-/// one thread or many — the reproducibility contract of the fused
-/// simulation sweeps.
+/// returned accumulators gets a **bit-identical** floating-point result
+/// however many workers help.
 pub fn par_chunks_fixed<T, A, F>(data: &mut [T], chunk: usize, f: F) -> Vec<A>
 where
     T: Send,
     A: Send,
     F: Fn(usize, &mut [T]) -> A + Sync,
 {
-    par_chunks_fixed_with(data, chunk, crate::chunks::num_threads(), f)
-}
-
-/// As [`par_chunks_fixed`] with an explicit thread budget. The budget
-/// affects only *where* chunks execute, never the chunk layout or the
-/// result order, so any two budgets produce identical output.
-pub fn par_chunks_fixed_with<T, A, F>(data: &mut [T], chunk: usize, threads: usize, f: F) -> Vec<A>
-where
-    T: Send,
-    A: Send,
-    F: Fn(usize, &mut [T]) -> A + Sync,
-{
-    let ranges = crate::chunks::chunk_ranges_fixed(data.len(), chunk);
-    // Materialise disjoint (offset, chunk) slices in layout order.
+    let ranges = chunk_ranges_fixed(data.len(), chunk);
     let mut parts: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
     let mut rest = data;
     for &(start, end) in &ranges {
@@ -129,43 +67,7 @@ where
         parts.push((start, head));
         rest = tail;
     }
-    let threads = threads.max(1).min(parts.len().max(1));
-    if threads <= 1 || parts.len() <= 1 {
-        return parts.into_iter().map(|(offset, s)| f(offset, s)).collect();
-    }
-    // Round-robin chunk ownership: worker w takes chunks w, w+T, w+2T, …
-    // Each worker returns (chunk index, result) pairs; reassembly by index
-    // restores layout order regardless of the interleaving.
-    let mut owned: Vec<Vec<(usize, usize, &mut [T])>> = (0..threads).map(|_| Vec::new()).collect();
-    for (idx, (offset, slice)) in parts.into_iter().enumerate() {
-        owned[idx % threads].push((idx, offset, slice));
-    }
-    let f = &f;
-    let mut results: Vec<Option<A>> = Vec::new();
-    results.resize_with(ranges.len(), || None);
-    let produced: Vec<Vec<(usize, A)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = owned
-            .into_iter()
-            .map(|list| {
-                scope.spawn(move || {
-                    list.into_iter()
-                        .map(|(idx, offset, slice)| (idx, f(offset, slice)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fixed-chunk worker panicked"))
-            .collect()
-    });
-    for (idx, value) in produced.into_iter().flatten() {
-        results[idx] = Some(value);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every chunk produced a result"))
-        .collect()
+    map_parts(parts, |(offset, slice)| f(offset, slice))
 }
 
 /// Read-only companion of [`par_chunks_fixed`]: maps `f` over the fixed
@@ -177,44 +79,8 @@ where
     A: Send,
     F: Fn(usize, &[T]) -> A + Sync,
 {
-    let ranges = crate::chunks::chunk_ranges_fixed(data.len(), chunk);
-    let threads = crate::chunks::num_threads().min(ranges.len().max(1));
-    if threads <= 1 || ranges.len() <= 1 {
-        return ranges
-            .into_iter()
-            .map(|(start, end)| f(start, &data[start..end]))
-            .collect();
-    }
-    let f = &f;
-    let mut results: Vec<Option<A>> = Vec::new();
-    results.resize_with(ranges.len(), || None);
-    let produced: Vec<Vec<(usize, A)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let ranges = &ranges;
-                scope.spawn(move || {
-                    ranges
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(threads)
-                        .map(|(idx, &(start, end))| (idx, f(start, &data[start..end])))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fixed-chunk reader panicked"))
-            .collect()
-    });
-    for (idx, value) in produced.into_iter().flatten() {
-        results[idx] = Some(value);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every chunk produced a result"))
-        .collect()
+    let ranges = chunk_ranges_fixed(data.len(), chunk);
+    map_parts(ranges, |(start, end)| f(start, &data[start..end]))
 }
 
 /// Zipped-pair variant of [`par_chunks_fixed`]: runs `f` over matching
@@ -227,7 +93,7 @@ where
     F: Fn(usize, &mut [T], &mut [T]) -> A + Sync,
 {
     assert_eq!(a.len(), b.len(), "zipped planes must have equal length");
-    let ranges = crate::chunks::chunk_ranges_fixed(a.len(), chunk);
+    let ranges = chunk_ranges_fixed(a.len(), chunk);
     let mut parts: Vec<(usize, &mut [T], &mut [T])> = Vec::with_capacity(ranges.len());
     let (mut rest_a, mut rest_b) = (a, b);
     for &(start, end) in &ranges {
@@ -237,181 +103,35 @@ where
         rest_a = tail_a;
         rest_b = tail_b;
     }
-    let threads = crate::chunks::num_threads().min(parts.len().max(1));
-    if threads <= 1 || parts.len() <= 1 {
-        return parts
-            .into_iter()
-            .map(|(offset, ca, cb)| f(offset, ca, cb))
-            .collect();
-    }
-    type OwnedChunks<'a, T> = Vec<(usize, usize, &'a mut [T], &'a mut [T])>;
-    let mut owned: Vec<OwnedChunks<T>> = (0..threads).map(|_| Vec::new()).collect();
-    for (idx, (offset, ca, cb)) in parts.into_iter().enumerate() {
-        owned[idx % threads].push((idx, offset, ca, cb));
-    }
-    let f = &f;
-    let mut results: Vec<Option<A>> = Vec::new();
-    results.resize_with(ranges.len(), || None);
-    let produced: Vec<Vec<(usize, A)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = owned
-            .into_iter()
-            .map(|list| {
-                scope.spawn(move || {
-                    list.into_iter()
-                        .map(|(idx, offset, ca, cb)| (idx, f(offset, ca, cb)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("zipped fixed-chunk worker panicked"))
-            .collect()
-    });
-    for (idx, value) in produced.into_iter().flatten() {
-        results[idx] = Some(value);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every chunk produced a result"))
-        .collect()
-}
-
-/// Applies `f(index, &mut element)` to every element of `data` in parallel.
-pub fn par_for_each_indexed<T, F>(data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    par_chunks_mut(data, |offset, chunk| {
-        for (i, x) in chunk.iter_mut().enumerate() {
-            f(offset + i, x);
-        }
-    });
-}
-
-/// Parallel map-reduce over immutable chunks.
-///
-/// Each chunk is mapped to an accumulator with `map(offset, chunk)` and the
-/// per-chunk accumulators are folded with `reduce`.  `identity` seeds the
-/// fold.  The reduction order is deterministic (chunks are combined in index
-/// order), so floating-point results are reproducible run-to-run for a fixed
-/// thread budget.
-pub fn par_map_reduce<T, A, M, R>(data: &[T], identity: A, map: M, reduce: R) -> A
-where
-    T: Sync,
-    A: Send,
-    M: Fn(usize, &[T]) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    par_map_reduce_with(
-        data,
-        crate::chunks::num_threads(),
-        DEFAULT_MIN_CHUNK,
-        identity,
-        map,
-        reduce,
-    )
-}
-
-/// As [`par_map_reduce`] with an explicit thread budget and chunk size.
-pub fn par_map_reduce_with<T, A, M, R>(
-    data: &[T],
-    max_threads: usize,
-    min_chunk: usize,
-    identity: A,
-    map: M,
-    reduce: R,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    M: Fn(usize, &[T]) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    let ranges = chunk_ranges(data.len(), max_threads, min_chunk);
-    if ranges.len() <= 1 {
-        return ranges.into_iter().fold(identity, |acc, (start, end)| {
-            reduce(acc, map(start, &data[start..end]))
-        });
-    }
-    let map = &map;
-    let partials: Vec<A> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| scope.spawn(move || map(start, &data[start..end])))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel map worker panicked"))
-            .collect()
-    });
-    partials.into_iter().fold(identity, reduce)
-}
-
-/// Parallel sum of `f64` values produced per element.
-pub fn par_sum_by<T, F>(data: &[T], f: F) -> f64
-where
-    T: Sync,
-    F: Fn(&T) -> f64 + Sync,
-{
-    par_map_reduce(
-        data,
-        0.0f64,
-        |_, chunk| chunk.iter().map(&f).sum::<f64>(),
-        |a, b| a + b,
-    )
-}
-
-/// Runs `tasks` independent closures in parallel and collects their results
-/// in task order.
-///
-/// Used for embarrassingly-parallel experiment sweeps (one task per `K` or
-/// per random seed).  Not intended for very large task counts; each task gets
-/// its own thread within a scope, batched to at most `num_threads` live
-/// threads at a time.
-pub fn par_tasks<A, F>(tasks: Vec<F>) -> Vec<A>
-where
-    A: Send,
-    F: FnOnce() -> A + Send,
-{
-    let threads = crate::chunks::num_threads();
-    let mut results: Vec<Option<A>> = Vec::new();
-    results.resize_with(tasks.len(), || None);
-    let mut remaining: Vec<(usize, F)> = tasks.into_iter().enumerate().collect();
-    while !remaining.is_empty() {
-        let batch: Vec<(usize, F)> = remaining.drain(..remaining.len().min(threads)).collect();
-        let batch_results: Vec<(usize, A)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
-                .into_iter()
-                .map(|(idx, task)| scope.spawn(move || (idx, task())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("parallel task panicked"))
-                .collect()
-        });
-        for (idx, value) in batch_results {
-            results[idx] = Some(value);
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every task index must have produced a result"))
-        .collect()
+    map_parts(parts, |(offset, ca, cb)| f(offset, ca, cb))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkerPool;
+    use std::thread;
+    use std::time::Duration;
+
+    /// Runs `job` on one of `pool`'s workers and returns its result.
+    fn on_pool<R: Send + 'static>(
+        pool: &WorkerPool,
+        job: impl FnOnce() -> R + Send + 'static,
+    ) -> R {
+        pool.map(vec![job]).pop().expect("one job, one result")
+    }
 
     #[test]
     fn chunked_mutation_touches_every_element_once() {
-        let mut data = vec![1u64; 100_000];
-        par_chunks_mut_with(&mut data, 8, 1024, |offset, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x += (offset + i) as u64;
-            }
+        let pool = WorkerPool::new(8);
+        let data = on_pool(&pool, || {
+            let mut data = vec![1u64; 100_000];
+            par_chunks_fixed(&mut data, 1024, |offset, chunk| {
+                for (i, x) in chunk.iter_mut().enumerate() {
+                    *x += (offset + i) as u64;
+                }
+            });
+            data
         });
         assert!(data.iter().enumerate().all(|(i, &x)| x == 1 + i as u64));
     }
@@ -420,7 +140,11 @@ mod tests {
     fn indexed_for_each_matches_serial() {
         let mut parallel = vec![0.0f64; 50_000];
         let mut serial = vec![0.0f64; 50_000];
-        par_for_each_indexed(&mut parallel, |i, x| *x = (i as f64).sqrt());
+        par_chunks_fixed(&mut parallel, 4096, |offset, chunk| {
+            for (i, x) in chunk.iter_mut().enumerate() {
+                *x = ((offset + i) as f64).sqrt();
+            }
+        });
         for (i, x) in serial.iter_mut().enumerate() {
             *x = (i as f64).sqrt();
         }
@@ -429,83 +153,120 @@ mod tests {
 
     #[test]
     fn map_reduce_sums_correctly() {
-        let data: Vec<u64> = (0..200_000).collect();
-        let total = par_map_reduce_with(
-            &data,
-            8,
-            1024,
-            0u64,
-            |_, chunk| chunk.iter().sum::<u64>(),
-            |a, b| a + b,
-        );
+        let pool = WorkerPool::new(4);
+        let total = on_pool(&pool, || {
+            let data: Vec<u64> = (0..200_000).collect();
+            par_map_chunks_fixed(&data, 1024, |_, chunk| chunk.iter().sum::<u64>())
+                .into_iter()
+                .sum::<u64>()
+        });
         assert_eq!(total, 200_000 * 199_999 / 2);
     }
 
     #[test]
     fn map_reduce_on_empty_slice_returns_identity() {
         let data: Vec<u64> = Vec::new();
-        let total = par_map_reduce(
-            &data,
-            42u64,
-            |_, chunk| chunk.iter().sum::<u64>(),
-            |a, b| a + b,
-        );
-        assert_eq!(total, 42);
+        let partials = par_map_chunks_fixed(&data, 1024, |_, chunk| chunk.iter().sum::<u64>());
+        assert!(partials.is_empty(), "an empty slice has no chunks");
+        assert_eq!(partials.into_iter().fold(42u64, |a, b| a + b), 42);
     }
 
     #[test]
     fn small_inputs_take_the_serial_path() {
         let mut data = vec![0u8; 10];
-        par_chunks_mut(&mut data, |offset, chunk| {
+        let caller = thread::current().id();
+        let ran_on = par_chunks_fixed(&mut data, 4096, |offset, chunk| {
             assert_eq!(offset, 0);
             assert_eq!(chunk.len(), 10);
             chunk.fill(7);
+            thread::current().id()
         });
+        assert_eq!(ran_on, vec![caller]);
         assert!(data.iter().all(|&x| x == 7));
     }
 
     #[test]
     fn par_sum_matches_serial_sum() {
+        let pool = WorkerPool::new(3);
         let data: Vec<f64> = (0..100_000).map(|i| (i as f64) * 1e-3).collect();
-        let parallel = par_sum_by(&data, |x| x * x);
         let serial: f64 = data.iter().map(|x| x * x).sum();
+        let parallel = on_pool(&pool, move || {
+            par_map_chunks_fixed(&data, 2048, |_, c| c.iter().map(|x| x * x).sum::<f64>())
+                .into_iter()
+                .sum::<f64>()
+        });
         assert!((parallel - serial).abs() < 1e-6 * serial.abs().max(1.0));
     }
 
     #[test]
     fn tasks_preserve_order() {
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..100usize)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let results = par_tasks(tasks);
+        let pool = WorkerPool::new(4);
+        let results = on_pool(&pool, || {
+            let data: Vec<usize> = (0..100).collect();
+            par_map_chunks_fixed(&data, 1, |i, chunk| {
+                assert_eq!(chunk, [i]);
+                i * i
+            })
+        });
         assert_eq!(results.len(), 100);
         assert!(results.iter().enumerate().all(|(i, &r)| r == i * i));
     }
 
     #[test]
     fn tasks_with_uneven_durations_still_collect_all_results() {
-        let tasks: Vec<_> = (0..16u32)
-            .map(|i| {
-                move || {
-                    if i % 3 == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    i
+        let pool = WorkerPool::new(4);
+        let results = on_pool(&pool, || {
+            let data: Vec<u32> = (0..16).collect();
+            par_map_chunks_fixed(&data, 1, |_, chunk| {
+                if chunk[0] % 3 == 0 {
+                    thread::sleep(Duration::from_millis(2));
                 }
+                chunk[0]
             })
-            .collect();
-        let results: Vec<u32> = par_tasks(tasks);
+        });
         assert_eq!(results, (0..16u32).collect::<Vec<u32>>());
     }
 
     #[test]
     fn thread_budget_of_one_is_fully_serial() {
-        let mut data = vec![0u32; 20_000];
-        par_chunks_mut_with(&mut data, 1, 1, |offset, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = (offset + i) as u32;
-            }
+        // On a one-worker pool the caller has no idle sibling: every chunk
+        // runs on the calling worker, in chunk order.
+        let pool = WorkerPool::new(1);
+        let (order, data) = on_pool(&pool, || {
+            let caller = thread::current().id();
+            let mut data = vec![0u32; 20_000];
+            let order = par_chunks_fixed(&mut data, 1000, |offset, chunk| {
+                assert_eq!(thread::current().id(), caller);
+                for (i, x) in chunk.iter_mut().enumerate() {
+                    *x = (offset + i) as u32;
+                }
+                offset
+            });
+            (order, data)
         });
+        assert_eq!(order, (0..20).map(|c| c * 1000).collect::<Vec<_>>());
         assert!(data.iter().enumerate().all(|(i, &x)| x == i as u32));
+    }
+
+    #[test]
+    fn off_pool_callers_run_chunks_in_order_on_their_own_thread() {
+        let caller = thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let (mut re, mut im) = (vec![1.0f64; 5000], vec![2.0f64; 5000]);
+        let sums = par_zip_chunks_fixed(&mut re, &mut im, 512, |offset, a, b| {
+            assert_eq!(thread::current().id(), caller);
+            seen.lock().unwrap().push(offset);
+            a.iter_mut()
+                .zip(b.iter_mut())
+                .map(|(x, y)| {
+                    std::mem::swap(x, y);
+                    *x
+                })
+                .sum::<f64>()
+        });
+        let offsets: Vec<usize> = chunk_ranges_fixed(5000, 512).iter().map(|r| r.0).collect();
+        assert_eq!(seen.into_inner().unwrap(), offsets, "chunks ran in order");
+        assert_eq!(sums.len(), offsets.len());
+        assert!(re.iter().all(|&x| x == 2.0) && im.iter().all(|&x| x == 1.0));
     }
 }

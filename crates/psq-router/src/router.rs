@@ -281,20 +281,25 @@ impl Shared {
         pick(not).or_else(|| if not.is_some() { pick(None) } else { None })
     }
 
-    /// Assigns (or parks) `router_id`'s pending job. Must hold no lock.
-    fn dispatch(&self, router_id: u64) {
+    /// Assigns (or parks) `router_id`'s pending job, preferring any slot
+    /// but `avoid` (a retry's failed worker). Must hold no lock.
+    ///
+    /// Only an unassigned job is dispatched. A new or retried job is
+    /// unassigned between its caller's lock and this one, so the
+    /// supervisor's tick may take it for parked and dispatch it too; the
+    /// second dispatcher must not send it to a second worker.
+    fn dispatch(&self, router_id: u64, avoid: Option<usize>) {
         let queued;
         {
             let mut state = self.state.lock();
             let Some(pending) = state.pending.get(&router_id) else {
                 return;
             };
-            let not = pending.slot;
-            let key = pending.route_key;
-            let Some(slot_index) = self.choose_slot(&state, key, not) else {
-                let pending = state.pending.get_mut(&router_id).expect("checked above");
-                pending.slot = None; // parked: the supervisor re-dispatches
+            if pending.slot.is_some() {
                 return;
+            }
+            let Some(slot_index) = self.choose_slot(&state, pending.route_key, avoid) else {
+                return; // stays parked: the supervisor re-dispatches
             };
             let now = Instant::now();
             let line = {
@@ -333,6 +338,7 @@ impl Shared {
         let outstanding_us;
         let exhausted;
         let trace_id;
+        let failed_slot;
         {
             let mut guard = self.state.lock();
             let state = &mut *guard;
@@ -344,7 +350,8 @@ impl Shared {
             // Release the failed assignment: the old worker no longer owns
             // this job (its late answer, if any, is still accepted — first
             // answer wins — but no longer counts against its slot).
-            if let Some(old) = pending.slot.take() {
+            failed_slot = pending.slot.take();
+            if let Some(old) = failed_slot {
                 state.slots[old].inflight = state.slots[old].inflight.saturating_sub(1);
             }
             pending.attempts += 1;
@@ -367,19 +374,22 @@ impl Shared {
         RouterObs::bump(&self.obs.retries);
         self.obs.retry_us.record(outstanding_us);
         trace::event_traced(router_id, Some(trace_id), stage::RETRY, outstanding_us);
-        self.dispatch(router_id);
+        self.dispatch(router_id, failed_slot);
     }
 
-    /// Sends `pending` an error response and balances its session slot.
+    /// Sends `pending` an error response and balances its session slot,
+    /// counting before sending so a client that has read the reply sees it
+    /// counted.
     fn answer_error(&self, pending: &Pending, kind: ErrorKind, reason: &str) {
-        let response = Response::Error {
+        let line = Response::Error {
             id: Some(pending.client_id),
             kind,
             reason: reason.to_string(),
-        };
-        pending.session.send(response.to_line());
+        }
+        .to_line();
         pending.session.fail();
         RouterObs::bump(&self.obs.jobs_errored);
+        pending.session.send(line);
     }
 
     // ----- worker lifecycle ----------------------------------------------
@@ -604,7 +614,9 @@ impl Shared {
                 match answered {
                     Some(pending) => {
                         result.job_id = pending.client_id;
-                        pending.session.send(Response::Result(result).to_line());
+                        // Count before sending: a client that has read its
+                        // reply must see it in the metrics.
+                        let line = Response::Result(result).to_line();
                         pending.session.complete();
                         RouterObs::bump(&self.obs.jobs_completed);
                         let us = pending.started.elapsed().as_micros() as f64;
@@ -618,6 +630,7 @@ impl Shared {
                         } else {
                             RouterObs::bump(&self.obs.retried_completions);
                         }
+                        pending.session.send(line);
                         trace::event_traced(
                             pending.client_id,
                             Some(pending.trace),
@@ -751,7 +764,7 @@ impl Shared {
             self.retry_or_fail(router_id, true);
         }
         for router_id in parked {
-            self.dispatch(router_id);
+            self.dispatch(router_id, None);
         }
     }
 
@@ -807,8 +820,10 @@ impl Shared {
     /// every routed job has a fleet-wide causal chain.
     fn submit_job(&self, session: &Arc<Session>, job: SearchJob, trace: Option<u64>) {
         RouterObs::bump(&self.obs.jobs_submitted);
+        // Every refusal is counted before it is sent (see `answer_error`).
         if let Err(reason) = job.validate() {
             session.count_intake_error();
+            RouterObs::bump(&self.obs.jobs_errored);
             session.send(
                 Response::Error {
                     id: Some(job.id),
@@ -817,11 +832,11 @@ impl Shared {
                 }
                 .to_line(),
             );
-            RouterObs::bump(&self.obs.jobs_errored);
             return;
         }
         if self.shutdown.load(Ordering::SeqCst) {
             session.count_intake_error();
+            RouterObs::bump(&self.obs.jobs_errored);
             session.send(
                 Response::Error {
                     id: Some(job.id),
@@ -830,10 +845,10 @@ impl Shared {
                 }
                 .to_line(),
             );
-            RouterObs::bump(&self.obs.jobs_errored);
             return;
         }
         if !session.try_admit() {
+            RouterObs::bump(&self.obs.jobs_overloaded);
             session.send(
                 Response::Error {
                     id: Some(job.id),
@@ -845,7 +860,6 @@ impl Shared {
                 }
                 .to_line(),
             );
-            RouterObs::bump(&self.obs.jobs_overloaded);
             return;
         }
         let route_key = job.route_key();
@@ -902,6 +916,9 @@ impl Shared {
         if !routable {
             // Every worker is saturated or broken: shed instead of queueing
             // unbounded work the fleet cannot absorb.
+            session.fail();
+            RouterObs::bump(&self.obs.jobs_overloaded);
+            RouterObs::bump(&self.obs.jobs_errored);
             session.send(
                 Response::Error {
                     id: Some(client_id),
@@ -910,12 +927,9 @@ impl Shared {
                 }
                 .to_line(),
             );
-            session.fail();
-            RouterObs::bump(&self.obs.jobs_overloaded);
-            RouterObs::bump(&self.obs.jobs_errored);
             return;
         }
-        self.dispatch(router_id);
+        self.dispatch(router_id, None);
     }
 
     /// Expands one sweep request and routes every grid point through
@@ -1019,6 +1033,7 @@ impl RouterClient {
         match parse_request(line) {
             Err(reason) => {
                 self.session.count_intake_error();
+                RouterObs::bump(&self.shared.obs.jobs_errored);
                 self.session.send(
                     Response::Error {
                         id: None,
@@ -1027,7 +1042,6 @@ impl RouterClient {
                     }
                     .to_line(),
                 );
-                RouterObs::bump(&self.shared.obs.jobs_errored);
                 LineOutcome::Continue
             }
             Ok(None) => LineOutcome::Continue,

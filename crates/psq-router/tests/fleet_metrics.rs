@@ -159,3 +159,28 @@ fn exposition_endpoint_serves_router_and_fleet_series() {
     assert!(second.contains(&format!("psq_router_jobs_completed_total {jobs}")));
     router.finish();
 }
+
+/// The router counts a worker's reply before it forwards it: a client that
+/// has read its result always finds it in the router's counters and route
+/// histogram, and no longer in the queue depth.
+#[test]
+fn a_routed_reply_read_by_its_client_is_always_counted() {
+    let router = Router::start(test_config(1));
+    let (client, responses) = router.attach();
+    for (answered, job) in (1u64..).zip(generate_mixed_batch(100, 23)) {
+        let line = serde_json::to_string(&job).expect("jobs serialise");
+        assert_eq!(client.submit_line(&line), LineOutcome::Continue);
+        let reply = responses
+            .recv_timeout(Duration::from_secs(120))
+            .expect("every job is answered");
+        assert!(matches!(
+            parse_response(&reply).expect("well-formed response line"),
+            Response::Result(_)
+        ));
+        let metrics = router.metrics();
+        assert_eq!(metrics.jobs_completed, answered, "after reply {answered}");
+        assert_eq!(metrics.route.count, answered, "after reply {answered}");
+        assert_eq!(metrics.queue_depth, 0, "after reply {answered}");
+    }
+    router.finish();
+}

@@ -90,29 +90,31 @@ impl JobTicket {
     }
 
     /// Answers with a completed result (the engine-internal id is replaced
-    /// by the client's) and releases the admission slot.
+    /// by the client's) and releases the admission slot. The answer is
+    /// counted before it is sent, so a client that has read it and then
+    /// asks for metrics always sees it counted.
     fn serve_result(&mut self, mut result: psq_engine::SearchResult) {
         result.job_id = self.job.id;
-        self.session
-            .send(Response::Result(Box::new(result)).to_line());
+        let line = Response::Result(Box::new(result)).to_line();
         self.session.complete();
         self.stats
             .record_completed(self.enqueued.elapsed().as_secs_f64() * 1e6);
+        self.session.send(line);
         self.answered = true;
     }
 
-    /// Answers with an error of `kind` and releases the admission slot.
+    /// Answers with an error of `kind` and releases the admission slot,
+    /// counting before sending like [`JobTicket::serve_result`].
     fn serve_error(&mut self, kind: ErrorKind, reason: String) {
-        self.session.send(
-            Response::Error {
-                id: Some(self.job.id),
-                kind,
-                reason,
-            }
-            .to_line(),
-        );
+        let line = Response::Error {
+            id: Some(self.job.id),
+            kind,
+            reason,
+        }
+        .to_line();
         self.session.fail();
         self.stats.record_admitted_error();
+        self.session.send(line);
         self.answered = true;
     }
 }

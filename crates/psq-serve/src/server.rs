@@ -784,6 +784,48 @@ mod tests {
         server.finish();
     }
 
+    /// Replies are counted before they are sent: a client that has read a
+    /// result or an engine rejection and then asks for metrics always sees
+    /// that reply counted, server-wide and on its own session.
+    #[test]
+    fn a_reply_read_by_its_client_is_always_counted() {
+        let server = Server::start(tiny_config());
+        let (client, responses) = server.attach();
+        let (mut completed, mut errored) = (0u64, 0u64);
+        for id in 0..200u64 {
+            // Every fourth job passes validation but is refused by the
+            // planner (a circuit on a non-power-of-two n).
+            let job = if id % 4 == 3 {
+                SearchJob::new(id, 96, 4, 5).with_backend(psq_engine::BackendHint::Circuit)
+            } else {
+                SearchJob::new(id, 1 << 8, 4, id % 256)
+            };
+            client.submit_line(&serde_json::to_string(&job).expect("serialises"));
+            match parse_response(&responses.recv().expect("job answered")).expect("well-formed") {
+                Response::Result(_) => completed += 1,
+                Response::Error { kind, .. } => {
+                    assert_eq!(kind, ErrorKind::Rejected);
+                    errored += 1;
+                }
+                other => panic!("expected a job reply, got {other:?}"),
+            }
+            client.submit_line("{\"cmd\":\"metrics\"}");
+            match parse_response(&responses.recv().expect("metrics answered")).expect("well-formed")
+            {
+                Response::Metrics(metrics) => {
+                    assert_eq!(metrics.jobs_completed, completed, "after reply {id}");
+                    assert_eq!(metrics.jobs_errored, errored, "after reply {id}");
+                    assert_eq!(metrics.queue_depth, 0, "after reply {id}");
+                    assert_eq!(metrics.clients[0].completed, completed);
+                    assert_eq!(metrics.clients[0].errors, errored);
+                }
+                other => panic!("expected metrics, got {other:?}"),
+            }
+        }
+        drop(client);
+        server.finish();
+    }
+
     #[test]
     fn pipe_session_runs_eof_to_clean_drain_and_server_survives() {
         let server = Server::start(tiny_config());

@@ -23,20 +23,27 @@
 //! instead of `2ℓ`. The single-iteration methods remain as the unfused
 //! reference path; property tests pin the two within `1e-12`.
 //!
-//! Kernels switch to deterministic fixed-chunk parallel dispatch
-//! (`psq_parallel::par_chunks_fixed`) once the vector is large enough for
-//! threading to pay off; the chunk layout depends only on the problem size,
-//! so results are bit-identical across thread counts. For databases too
-//! large to materialise use [`crate::reduced::ReducedState`], which evolves
-//! the same dynamics exactly in a three-dimensional symmetric subspace.
+//! Once the vector spans at least two fixed chunks, kernels dispatch over
+//! the fixed chunk layout (`psq_parallel::par_chunks_fixed`). Called from a
+//! `psq_parallel::WorkerPool` worker — an engine job — each sweep runs as a
+//! parallel region of that pool: the calling worker and any idle sibling
+//! workers share the chunks, and no thread is spawned. Called from any other
+//! thread, the chunks run serially in order. The layout depends only on the
+//! problem size and per-chunk partials fold in chunk order, so results are
+//! bit-identical at any pool size. For databases too large to materialise
+//! use [`crate::reduced::ReducedState`], which evolves the same dynamics
+//! exactly in a three-dimensional symmetric subspace.
 
 use crate::oracle::{Database, Partition};
 use psq_math::complex::Complex64;
 use psq_math::soa::{self, SoaVec};
 use psq_parallel::{par_chunks_fixed, par_map_chunks_fixed, par_zip_chunks_fixed, FIXED_CHUNK};
 
-/// Problem sizes below this threshold always use the serial kernels: one
-/// fixed-layout chunk per plane is not worth a thread round-trip.
+/// Problem sizes below this threshold always use the serial kernels: a
+/// plane that fits in one fixed-layout chunk has nothing to share with the
+/// pool's idle workers. From two chunks up, sweeps go through the fixed
+/// chunk kernels, which run as pool regions on a worker and serially
+/// elsewhere.
 const PARALLEL_THRESHOLD: usize = 2 * FIXED_CHUNK;
 
 /// A pure quantum state over the database address register.

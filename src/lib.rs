@@ -24,7 +24,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`math`] | complex arithmetic, angles, optimisation, statistics (`psq-math`) |
-//! | [`parallel`] | chunked fork–join kernels and a worker pool (`psq-parallel`) |
+//! | [`parallel`] | a worker pool and the fixed-chunk kernels that run on it (`psq-parallel`) |
 //! | [`sim`] | state-vector and block-symmetric reduced simulators, oracles, measurement (`psq-sim`) |
 //! | [`grover`] | standard/zero-error/sure-success Grover search and amplitude amplification (`psq-grover`) |
 //! | [`classical`] | classical full/partial search and the Appendix-A bound (`psq-classical`) |

@@ -2,8 +2,9 @@
 //! workload: the full state-vector simulator (cost grows linearly in `N` per
 //! iteration) versus the block-symmetric reduced simulator (three amplitudes,
 //! cost independent of `N` per iteration).  This quantifies the substitution
-//! argument in DESIGN.md: the reduced simulator is what makes the paper's
-//! asymptotic claims checkable at `N = 2^40` and beyond.
+//! argument in ARCHITECTURE.md ("Simulation: structure-of-arrays, fused
+//! sweeps", on `ReducedState`): the reduced simulator is what makes the
+//! paper's asymptotic claims checkable at `N = 2^40` and beyond.
 
 // The criterion_group!/criterion_main! macros expand to undocumented
 // functions; the workspace-level missing_docs lint does not apply to them.

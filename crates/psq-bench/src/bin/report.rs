@@ -1,11 +1,11 @@
 //! One-shot experiment report: every paper-versus-measured number in a single
 //! machine-readable dump.
 //!
-//! This is the binary that backs `EXPERIMENTS.md`: it re-derives the headline
-//! quantity of every table and figure (without the expensive sweeps of the
-//! dedicated binaries) and prints a JSON array of
-//! [`psq_bench::ExperimentRecord`]s followed by a summary of the worst
-//! relative deviation per experiment.
+//! This is the paper-reproduction record (see the README's "Workspace
+//! map"): it re-derives the headline quantity of every table and figure
+//! (without the expensive sweeps of the dedicated binaries) and prints a
+//! JSON array of [`psq_bench::ExperimentRecord`]s followed by a summary of
+//! the worst relative deviation per experiment.
 //!
 //! Run with `cargo run --release -p psq-bench --bin report`.
 

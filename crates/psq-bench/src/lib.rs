@@ -1,10 +1,11 @@
 //! Shared plumbing for the experiment binaries and Criterion benches.
 //!
 //! Every table and figure of the paper has a binary under `src/bin/` that
-//! regenerates it (see `DESIGN.md` for the full index).  Those binaries share
-//! the small reporting toolkit in this crate: an aligned text [`Table`] for
-//! stdout, a serialisable [`ExperimentRecord`] for the machine-readable
-//! `EXPERIMENTS.md` companion data, and a couple of formatting helpers.
+//! regenerates it (the README's "Workspace map" places this crate).  Those
+//! binaries share the small reporting toolkit in this crate: an aligned
+//! text [`Table`] for stdout, a serialisable [`ExperimentRecord`] for the
+//! machine-readable dump the `report` binary prints, and a couple of
+//! formatting helpers.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;

@@ -13,12 +13,17 @@
 //! ([`StateVector::grover_iterations`] /
 //! [`StateVector::block_grover_iterations`]); only queries that fault or
 //! are followed by a channel event fall back to the unfused single-step
-//! operators. An exactly-ideal spec routes to the untouched ideal runner
-//! ([`PartialSearch::run_statevector_in`]), so `p = 0` is **bit-identical**
-//! to a run that never heard of noise. Oracle-only faults and depolarizing
-//! collapses are real-preserving, so the known-real plane skipping stays
-//! on; a dephasing spec degrades gracefully to two-plane sweeps from the
-//! first kick.
+//! operators. One walker serves both simulators: it draws each query's
+//! events as it reaches that query, in the fixed per-query order of
+//! [`NoiseSpec::draw_query`], and hands each clean stretch and event on at
+//! once, so no phase's events are ever collected. On the sparse simulator
+//! a clean stretch is closed form on the symmetric and class rungs and
+//! costs `O(#classes)` whatever its length. An exactly-ideal spec routes
+//! to the untouched ideal runner ([`PartialSearch::run_statevector_in`]),
+//! so `p = 0` is **bit-identical** to a run that never heard of noise.
+//! Oracle-only faults and depolarizing collapses are real-preserving, so
+//! the known-real plane skipping stays on; a dephasing spec degrades
+//! gracefully to two-plane sweeps from the first kick.
 //!
 //! Full Grover search under the same fault model is provided for
 //! comparison: partial search is *more* robust per query simply because it
@@ -121,51 +126,63 @@ impl NoiseTally {
     }
 }
 
-/// One noisy phase of `count` iterations: global Grover when `partition`
-/// is `None`, per-block otherwise. Clean stretches run the fused kernels;
-/// a query that faults or is followed by a channel event runs unfused, the
-/// channel events applying after that iteration's diffusion.
-fn run_noisy_phase<R: Rng + ?Sized>(
+/// Walks one noisy phase of `count` queries.  Each query's events are
+/// drawn from `rng` when the walk reaches that query, in the fixed order of
+/// [`NoiseSpec::draw_query`], so the draws and the RNG state they leave
+/// match drawing the whole phase up front.  `step(clean, event)` runs for
+/// every query that carries an event, with the number of clean queries
+/// before it, and once with `None` for a trailing clean stretch.
+fn walk_phase<R: Rng + ?Sized>(
+    spec: &NoiseSpec,
+    n: u64,
+    count: u64,
+    rng: &mut R,
+    tally: &mut NoiseTally,
+    mut step: impl FnMut(u64, Option<&QueryNoise>),
+) {
+    let mut clean = 0u64;
+    for _ in 0..count {
+        let noise = spec.draw_query(n, rng);
+        if noise.is_clean() {
+            clean += 1;
+        } else {
+            tally.record(&noise);
+            step(clean, Some(&noise));
+            clean = 0;
+        }
+    }
+    if clean > 0 {
+        step(clean, None);
+    }
+}
+
+/// One walked step of a dense noisy phase: global Grover when `partition`
+/// is `None`, per-block otherwise.  The clean stretch runs the fused
+/// kernels; the event's query runs unfused, its channel events applying
+/// after that iteration's diffusion.
+fn dense_step(
     psi: &mut StateVector,
     db: &Database,
     partition: Option<&Partition>,
-    count: u64,
-    spec: &NoiseSpec,
-    rng: &mut R,
-    tally: &mut NoiseTally,
+    clean: u64,
+    event: Option<&QueryNoise>,
 ) {
-    let n = db.size();
-    // Pre-draw the phase's per-query events (fixed draw order, documented
-    // in `psq_sim::noise`) so clean stretches are visible ahead of time.
-    let events: Vec<QueryNoise> = (0..count).map(|_| spec.draw_query(n, rng)).collect();
-    let mut i = 0usize;
-    while i < events.len() {
-        let start = i;
-        while i < events.len() && events[i].is_clean() {
-            i += 1;
+    match partition {
+        None => psi.grover_iterations(db, clean),
+        Some(p) => psi.block_grover_iterations(db, p, clean),
+    }
+    if let Some(event) = event {
+        if event.faulty {
+            // The call is made (and charged) but has no effect.
+            db.charge_quantum_queries(1);
+        } else {
+            psi.apply_oracle_phase_flip(db);
         }
-        let fused = (i - start) as u64;
-        if fused > 0 {
-            match partition {
-                None => psi.grover_iterations(db, fused),
-                Some(p) => psi.block_grover_iterations(db, p, fused),
-            }
+        match partition {
+            None => psi.invert_about_mean(),
+            Some(p) => psi.invert_about_mean_per_block(p),
         }
-        if let Some(event) = events.get(i) {
-            tally.record(event);
-            if event.faulty {
-                // The call is made (and charged) but has no effect.
-                db.charge_quantum_queries(1);
-            } else {
-                psi.apply_oracle_phase_flip(db);
-            }
-            match partition {
-                None => psi.invert_about_mean(),
-                Some(p) => psi.invert_about_mean_per_block(p),
-            }
-            apply_channels(psi, event);
-            i += 1;
-        }
+        apply_channels(psi, event);
     }
 }
 
@@ -206,16 +223,12 @@ pub fn partial_search_noisy_in<R: Rng + ?Sized>(
 
     let mut psi = StateVector::uniform_in(n as usize, scratch);
     // Steps 1 and 2: noisy global then per-block amplification.
-    run_noisy_phase(&mut psi, db, None, plan.l1, &spec, rng, &mut tally);
-    run_noisy_phase(
-        &mut psi,
-        db,
-        Some(partition),
-        plan.l2,
-        &spec,
-        rng,
-        &mut tally,
-    );
+    walk_phase(&spec, n, plan.l1, rng, &mut tally, |clean, event| {
+        dense_step(&mut psi, db, None, clean, event)
+    });
+    walk_phase(&spec, n, plan.l2, rng, &mut tally, |clean, event| {
+        dense_step(&mut psi, db, Some(partition), clean, event)
+    });
     // Step 3's marking operation: if it fails, the reflection hits the
     // target amplitude too (the ancilla was never flipped), i.e. a plain
     // global inversion about the mean.
@@ -245,52 +258,29 @@ pub fn partial_search_noisy_in<R: Rng + ?Sized>(
     }
 }
 
-/// One noisy phase on the sparse simulator: the exact mirror of
-/// [`run_noisy_phase`], consuming the identical randomness in the identical
-/// order (pre-drawn per-query events, fused clean stretches, unfused event
-/// queries).  On the symmetric rung the fused stretches delegate to the
-/// reduced closed forms, so an oracle-fault-only trajectory costs `O(1)`
-/// arithmetic per stretch even at `N = 2^34`.
-fn run_noisy_phase_sparse<R: Rng + ?Sized>(
-    psi: &mut SparseState,
-    per_block: bool,
-    count: u64,
-    spec: &NoiseSpec,
-    rng: &mut R,
-    tally: &mut NoiseTally,
-) {
-    let n = psi.n();
-    let events: Vec<QueryNoise> = (0..count).map(|_| spec.draw_query(n, rng)).collect();
-    let mut i = 0usize;
-    while i < events.len() {
-        let start = i;
-        while i < events.len() && events[i].is_clean() {
-            i += 1;
+/// One walked step of a sparse noisy phase: the exact mirror of
+/// [`dense_step`].  The clean stretch is closed form on the symmetric and
+/// class rungs, so it costs `O(#classes)` arithmetic whatever its length,
+/// even at `N = 2^34`.
+fn sparse_step(psi: &mut SparseState, per_block: bool, clean: u64, event: Option<&QueryNoise>) {
+    if per_block {
+        psi.block_grover_iterations(clean);
+    } else {
+        psi.grover_iterations(clean);
+    }
+    if let Some(event) = event {
+        if event.faulty {
+            // The call is made (and charged) but has no effect.
+            psi.charge_queries(1);
+        } else {
+            psi.oracle_flip();
         }
-        let fused = (i - start) as u64;
-        if fused > 0 {
-            if per_block {
-                psi.block_grover_iterations(fused);
-            } else {
-                psi.grover_iterations(fused);
-            }
+        if per_block {
+            psi.invert_about_mean_per_block();
+        } else {
+            psi.invert_about_mean();
         }
-        if let Some(event) = events.get(i) {
-            tally.record(event);
-            if event.faulty {
-                // The call is made (and charged) but has no effect.
-                psi.charge_queries(1);
-            } else {
-                psi.oracle_flip();
-            }
-            if per_block {
-                psi.invert_about_mean_per_block();
-            } else {
-                psi.invert_about_mean();
-            }
-            psi.apply_channels(event);
-            i += 1;
-        }
+        psi.apply_channels(event);
     }
 }
 
@@ -299,7 +289,7 @@ fn run_noisy_phase_sparse<R: Rng + ?Sized>(
 /// block-measurement sample) from `rng`.
 ///
 /// The structure, query accounting, and randomness consumption mirror
-/// [`partial_search_noisy_in`] exactly: the same pre-drawn event sequence,
+/// [`partial_search_noisy_in`] exactly: the same streamed event sequence,
 /// the same fused/unfused split, the same Step-3 fault semantics, and one
 /// final `f64` draw for the block sample.  For a fixed `(spec, seed)` the
 /// two runners therefore see identical noise trajectories, which is what
@@ -321,8 +311,12 @@ pub fn partial_search_noisy_sparse<R: Rng + ?Sized>(
     let mut psi = SparseState::uniform(n, k, target);
 
     // Steps 1 and 2: noisy global then per-block amplification.
-    run_noisy_phase_sparse(&mut psi, false, plan.l1, &spec, rng, &mut tally);
-    run_noisy_phase_sparse(&mut psi, true, plan.l2, &spec, rng, &mut tally);
+    walk_phase(&spec, n, plan.l1, rng, &mut tally, |clean, event| {
+        sparse_step(&mut psi, false, clean, event)
+    });
+    walk_phase(&spec, n, plan.l2, rng, &mut tally, |clean, event| {
+        sparse_step(&mut psi, true, clean, event)
+    });
     // Step 3's marking operation: a failed marking reflects the target
     // amplitude too — a plain global inversion about the mean.
     let step3 = spec.draw_query(n, rng);
@@ -416,8 +410,14 @@ pub fn full_search_with_faulty_oracle<R: Rng + ?Sized>(
         psi.grover_iterations(db, iters);
         return psi.probability(db.target() as usize);
     }
-    let mut tally = NoiseTally::default();
-    run_noisy_phase(&mut psi, db, None, iters, &spec, rng, &mut tally);
+    walk_phase(
+        &spec,
+        db.size(),
+        iters,
+        rng,
+        &mut NoiseTally::default(),
+        |clean, event| dense_step(&mut psi, db, None, clean, event),
+    );
     psi.probability(db.target() as usize)
 }
 
@@ -578,6 +578,44 @@ mod tests {
             degraded < clean - 0.05,
             "channel events must cost success probability ({degraded} vs {clean})"
         );
+    }
+
+    #[test]
+    fn walker_streams_the_draws_of_the_whole_phase_in_order() {
+        let spec = NoiseSpec {
+            depolarizing: 0.1,
+            dephasing: 0.1,
+            oracle_fault: 0.1,
+        };
+        let (n, count, seed) = (1u64 << 10, 200u64, 17u64);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tally = NoiseTally::default();
+        let mut walked = Vec::new();
+        walk_phase(&spec, n, count, &mut rng, &mut tally, |clean, event| {
+            walked.push((clean, event.copied()))
+        });
+
+        let mut reference_rng = StdRng::seed_from_u64(seed);
+        let drawn: Vec<QueryNoise> = (0..count)
+            .map(|_| spec.draw_query(n, &mut reference_rng))
+            .collect();
+        let mut expected = Vec::new();
+        let mut clean = 0u64;
+        for noise in drawn {
+            if noise.is_clean() {
+                clean += 1;
+            } else {
+                expected.push((clean, Some(noise)));
+                clean = 0;
+            }
+        }
+        if clean > 0 {
+            expected.push((clean, None));
+        }
+        assert_eq!(walked, expected);
+        assert!(expected.iter().any(|&(clean, _)| clean == 0));
+        assert!(matches!(expected.last(), Some((_, None))));
+        assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!    Ideal runs and oracle-fault trajectories never leave this rung
 //!    (a skipped oracle call followed by a diffusion maps symmetric states
 //!    to symmetric states), which is why fault-noise runs stay `O(1)` per
-//!    fused stretch even at `N = 2^34`.
+//!    clean stretch even at `N = 2^34`.
 //! 2. **`Classes`** — a vector of *slice classes*: per block, address sets
 //!    of the form `{x in block : x & mask == bits}` minus the pinned
 //!    addresses (the target, plus at most one depolarizing-collapse
@@ -28,9 +28,13 @@
 //!    population count.  A depolarizing collapse lands here (`≤ K + 2`
 //!    entries); a dephasing phase kick *splits* classes on the kicked bit
 //!    (populations are recounted exactly with a digit-DP, never
-//!    enumerated).
+//!    enumerated).  A clean stretch of iterations is closed form here too:
+//!    the non-target mean rotates with the target as on rung 1 while every
+//!    deviation from it alternates sign, so the stretch costs
+//!    `O(#classes)` whatever its length.
 //! 3. **`Map`** — a `BTreeMap` from basis state to amplitude, the
-//!    degraded form for states with no exploitable structure left.  Entered
+//!    degraded form for states with no exploitable structure left; its
+//!    iterations step one at a time.  Entered
 //!    when splitting would exceed the class budget; only representable for
 //!    `n ≤ `[`SPARSE_MAP_CEILING`].  Beyond that the simulator gives up
 //!    with a panic naming the budget — the planner routes such jobs away
@@ -415,29 +419,13 @@ impl SparseState {
         match &mut self.repr {
             Repr::Symmetric(r) => r.block_diffusion(),
             Repr::Classes(cs) => {
-                // Per-block sums, accumulated in the fixed order (classes,
-                // then target, then survivor).  Keyed storage is fine: each
-                // key's accumulation order follows the iteration below.
-                let mut sums: BTreeMap<u64, Complex64> = BTreeMap::new();
-                for c in &cs.classes {
-                    *sums.entry(c.block).or_insert(Complex64::ZERO) += c.value.scale(c.pop as f64);
-                }
-                *sums.entry(target / bsize).or_insert(Complex64::ZERO) += cs.target_value;
-                if let Some(p) = &cs.singled {
-                    *sums.entry(p.addr / bsize).or_insert(Complex64::ZERO) += p.value;
-                }
-                let twice_of = |block: u64| {
-                    sums.get(&block)
-                        .copied()
-                        .unwrap_or(Complex64::ZERO)
-                        .scale(2.0 / bsize_f)
-                };
+                let twice = Self::twice_block_means(cs, self.k, bsize, target);
                 for c in &mut cs.classes {
-                    c.value = twice_of(c.block) - c.value;
+                    c.value = twice[c.block as usize] - c.value;
                 }
-                cs.target_value = twice_of(target / bsize) - cs.target_value;
+                cs.target_value = twice[(target / bsize) as usize] - cs.target_value;
                 if let Some(p) = &mut cs.singled {
-                    p.value = twice_of(p.addr / bsize) - p.value;
+                    p.value = twice[(p.addr / bsize) as usize] - p.value;
                 }
             }
             Repr::Map(map) => {
@@ -492,19 +480,25 @@ impl SparseState {
 
     /// `iters` standard Grover iterations.  On the symmetric rung this
     /// delegates to [`ReducedState::grover_iterations`], so a bulk run is
-    /// the identical closed-form `O(1)` arithmetic; otherwise it steps.
+    /// the identical closed-form `O(1)` arithmetic; on the class rung it is
+    /// the same rotation in closed form over all `N` addresses (see
+    /// `rotate_stretch`), `O(#classes)` whatever `iters` is; the map rung
+    /// steps.
     pub fn grover_iterations(&mut self, iters: u64) {
         if iters == 0 {
             return;
         }
-        if let Repr::Symmetric(r) = &mut self.repr {
-            r.grover_iterations(iters);
-            self.queries += iters;
-            return;
+        match &mut self.repr {
+            Repr::Symmetric(r) => r.grover_iterations(iters),
+            Repr::Classes(cs) => Self::rotate_stretch(cs, self.n, iters, self.bsize, |_| true),
+            Repr::Map(_) => {
+                for _ in 0..iters {
+                    self.grover_iteration();
+                }
+                return;
+            }
         }
-        for _ in 0..iters {
-            self.grover_iteration();
-        }
+        self.queries += iters;
     }
 
     /// One per-block Grover iteration (oracle flip, then per-block
@@ -514,20 +508,42 @@ impl SparseState {
         self.invert_about_mean_per_block();
     }
 
-    /// `iters` per-block Grover iterations (closed form on the symmetric
-    /// rung, stepping otherwise).
+    /// `iters` per-block Grover iterations: closed form on the symmetric
+    /// and class rungs, stepping on the map rung (and for one-item blocks).
+    ///
+    /// On the class rung the target block rotates exactly as a global
+    /// stretch does over `b = N/K` addresses.  Every other block's
+    /// inversion fixes that block's mean, so `iters` of them reflect it
+    /// about that mean once when `iters` is odd and not at all when even.
     pub fn block_grover_iterations(&mut self, iters: u64) {
         if iters == 0 {
             return;
         }
-        if let Repr::Symmetric(r) = &mut self.repr {
-            r.block_grover_iterations(iters);
-            self.queries += iters;
-            return;
+        let (bsize, target, target_block) = (self.bsize, self.target, self.target_block);
+        match &mut self.repr {
+            Repr::Symmetric(r) => r.block_grover_iterations(iters),
+            Repr::Classes(cs) if bsize >= 2 => {
+                if iters % 2 == 1 {
+                    let twice = Self::twice_block_means(cs, self.k, bsize, target);
+                    for c in cs.classes.iter_mut().filter(|c| c.block != target_block) {
+                        c.value = twice[c.block as usize] - c.value;
+                    }
+                    if let Some(p) = cs.singled.as_mut() {
+                        if p.addr / bsize != target_block {
+                            p.value = twice[(p.addr / bsize) as usize] - p.value;
+                        }
+                    }
+                }
+                Self::rotate_stretch(cs, bsize, iters, bsize, |block| block == target_block);
+            }
+            _ => {
+                for _ in 0..iters {
+                    self.block_grover_iteration();
+                }
+                return;
+            }
         }
-        for _ in 0..iters {
-            self.block_grover_iteration();
-        }
+        self.queries += iters;
     }
 
     // ------------------------------------------------------------------
@@ -694,6 +710,70 @@ impl SparseState {
             sum += p.value;
         }
         sum
+    }
+
+    /// Twice each block's mean amplitude, indexed by block.  Each block's
+    /// sum accumulates in the fixed order: its classes, then the target,
+    /// then the survivor.
+    fn twice_block_means(cs: &ClassState, k: u64, bsize: u64, target: u64) -> Vec<Complex64> {
+        let mut sums = vec![Complex64::ZERO; k as usize];
+        for c in &cs.classes {
+            sums[c.block as usize] += c.value.scale(c.pop as f64);
+        }
+        sums[(target / bsize) as usize] += cs.target_value;
+        if let Some(p) = &cs.singled {
+            sums[(p.addr / bsize) as usize] += p.value;
+        }
+        let scale = 2.0 / bsize as f64;
+        for s in &mut sums {
+            *s = s.scale(scale);
+        }
+        sums
+    }
+
+    /// `iters` Grover iterations in closed form over a reflection domain
+    /// of `size ≥ 2` addresses holding the target: the classes (and the
+    /// survivor) of the blocks `in_domain` accepts, which must cover
+    /// `size − 1` addresses.
+    ///
+    /// One iteration maps the domain's non-target mean `m` and the target
+    /// `a` exactly as the reduced form maps `(a_t, a_nb)`, and negates every
+    /// deviation `v − m`, since deviations sum to zero and so leave the
+    /// domain mean alone.  So `(a, √(size−1)·m)` rotates by `2·iters·θ`
+    /// with `sin θ = 1/√size`, as in [`ReducedState::grover_iterations`],
+    /// and each deviation is multiplied by `(−1)^iters`.
+    fn rotate_stretch(
+        cs: &mut ClassState,
+        size: u64,
+        iters: u64,
+        bsize: u64,
+        in_domain: impl Fn(u64) -> bool,
+    ) {
+        let mut sum = Complex64::ZERO;
+        for c in cs.classes.iter().filter(|c| in_domain(c.block)) {
+            sum += c.value.scale(c.pop as f64);
+        }
+        let survivor = cs.singled.as_mut().filter(|p| in_domain(p.addr / bsize));
+        if let Some(p) = &survivor {
+            sum += p.value;
+        }
+        let rest_count = size as f64 - 1.0;
+        let root = rest_count.sqrt();
+        let mean = sum.scale(1.0 / rest_count);
+        let rest = mean.scale(root);
+        let angle = 2.0 * iters as f64 * psq_math::angle::grover_angle(size as f64);
+        let (sin, cos) = angle.sin_cos();
+        let target = cs.target_value;
+        cs.target_value = target.scale(cos) + rest.scale(sin);
+        let new_mean = (rest.scale(cos) - target.scale(sin)).scale(1.0 / root);
+        let sign = if iters.is_multiple_of(2) { 1.0 } else { -1.0 };
+        let shift = |v: Complex64| new_mean + (v - mean).scale(sign);
+        if let Some(p) = survivor {
+            p.value = shift(p.value);
+        }
+        for c in cs.classes.iter_mut().filter(|c| in_domain(c.block)) {
+            c.value = shift(c.value);
+        }
     }
 
     /// Lowers the symmetric rung into explicit slice classes (identity on
@@ -1057,6 +1137,103 @@ mod tests {
         sparse.collapse_to_basis(5);
         assert!(!sparse.is_degraded());
         assert!(sparse.ever_degraded(), "the sticky flag remembers");
+    }
+
+    /// Class-rung starting points, each with its dense twin: a collapse
+    /// onto a survivor inside the target block, one onto a survivor in
+    /// another block, and dephasing kicks that split classes.  A Grover
+    /// iteration after the events makes every amplitude generic.
+    fn class_rung_starts(n: u64, k: u64, target: u64) -> Vec<(SparseState, StateVector)> {
+        let db = Database::new(n, target);
+        let bsize = n / k;
+        let collapse = |x: u64| QueryNoise {
+            faulty: false,
+            depolarize: Some(x),
+            dephase: None,
+        };
+        let kick = |bit: u32, theta: f64| QueryNoise {
+            faulty: false,
+            depolarize: None,
+            dephase: Some((bit, theta)),
+        };
+        let in_target_block = (target / bsize) * bsize + (target + 5) % bsize;
+        let elsewhere = (target + 3 * bsize / 2) % n;
+        let event_lists = [
+            vec![collapse(in_target_block)],
+            vec![collapse(elsewhere)],
+            vec![
+                kick(1, 0.7),
+                kick(4, 1.9),
+                kick(n.trailing_zeros() - 1, 2.6),
+            ],
+        ];
+        event_lists
+            .iter()
+            .map(|events| {
+                let mut sparse = SparseState::uniform(n, k, target);
+                let mut dense = StateVector::uniform(n as usize);
+                for noise in events {
+                    sparse.apply_channels(noise);
+                    crate::noise::apply_channels(&mut dense, noise);
+                }
+                sparse.grover_iteration();
+                dense.grover_iteration(&db);
+                assert!(matches!(sparse.repr, Repr::Classes(_)), "{events:?}");
+                (sparse, dense)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn class_rung_stretches_match_stepping_and_dense() {
+        let (n, k, target) = (1u64 << 12, 8u64, 2741u64);
+        let db = Database::new(n, target);
+        let partition = Partition::new(n, k);
+        for (start, dense_start) in class_rung_starts(n, k, target) {
+            for iters in [1u64, 2, 3, 16, 17] {
+                for per_block in [false, true] {
+                    let (mut closed, mut stepped) = (start.clone(), start.clone());
+                    let mut dense = dense_start.clone();
+                    if per_block {
+                        closed.block_grover_iterations(iters);
+                        (0..iters).for_each(|_| stepped.block_grover_iteration());
+                        dense.block_grover_iterations(&db, &partition, iters);
+                    } else {
+                        closed.grover_iterations(iters);
+                        (0..iters).for_each(|_| stepped.grover_iteration());
+                        dense.grover_iterations(&db, iters);
+                    }
+                    assert_eq!(closed.queries(), stepped.queries());
+                    assert_eq!(closed.class_count(), start.class_count());
+                    for x in 0..n {
+                        let c = closed.amplitude(x);
+                        for (other, name) in [
+                            (stepped.amplitude(x), "stepped"),
+                            (dense.amplitude(x as usize), "dense"),
+                        ] {
+                            assert!(
+                                (c - other).abs() <= 1e-12,
+                                "{iters} iterations (per block: {per_block}), amplitude {x}: \
+                                 closed {c:?} vs {name} {other:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn class_rung_stretch_of_two_to_the_forty_returns_normalised() {
+        let n = 1u64 << 40;
+        let mut s = SparseState::uniform(n, 8, 987_654_321_012);
+        s.collapse_to_basis(5);
+        s.grover_iterations(1 << 40);
+        assert!(matches!(s.repr, Repr::Classes(_)));
+        assert_close(s.norm_sqr(), 1.0, 1e-9);
+        s.block_grover_iterations(1 << 40);
+        assert_close(s.norm_sqr(), 1.0, 1e-9);
+        assert_eq!(s.queries(), 2 << 40);
     }
 
     #[test]

@@ -58,8 +58,10 @@
 //!
 //! See the `examples/` directory for longer walkthroughs (the merit-list
 //! scenario from the paper's introduction, the twelve-item Figure-1 example,
-//! recursive search, ε tuning and error analysis) and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the experiment-by-experiment reproduction record.
+//! recursive search, ε tuning and error analysis), and the README's
+//! "Workspace map" for the `psq-bench` binaries that regenerate every
+//! table and figure of the paper (`cargo run --release -p psq-bench --bin
+//! report` prints all of their headline numbers at once).
 
 pub use psq_bounds as bounds;
 pub use psq_classical as classical;

@@ -91,11 +91,13 @@ fn finish(
 }
 
 thread_local! {
-    /// Worker-held plane buffers for the recursive and noisy runners:
-    /// executor workers are persistent threads, so the scratch is reused
-    /// across every level, trial *and job* a worker executes — steady-state
-    /// batch serving performs O(1) allocations per worker. Scratch contents
-    /// never affect results (pinned by the cross-thread bit-identity tests).
+    /// Worker-held plane buffers for the state-vector, recursive and noisy
+    /// runners: executor workers are persistent threads, so the scratch is
+    /// reused across every level, trial *and job* a worker executes —
+    /// steady-state batch serving performs O(1) allocations per worker, and
+    /// a worker's memory is its largest state so far whatever order its
+    /// jobs arrive in. Scratch contents never affect results (pinned by the
+    /// cross-thread bit-identity tests).
     static WORKER_SCRATCH: std::cell::RefCell<AmplitudeScratch> =
         std::cell::RefCell::new(AmplitudeScratch::new());
 }
@@ -272,13 +274,16 @@ fn run_statevector(job: &SearchJob, plan: &ExecutionPlan, rng: &mut StdRng) -> S
     let mut reported = Vec::with_capacity(job.trials as usize);
     let mut queries = 0u64;
     let mut success = 0.0;
-    for _ in 0..job.trials {
-        let db = Database::new(job.n, job.target);
-        let run = search.run_statevector(&db, &partition, rng);
-        queries += run.outcome.queries;
-        success = run.success_probability;
-        reported.push(run.outcome.reported_block);
-    }
+    WORKER_SCRATCH.with(|cell| {
+        let scratch = &mut cell.borrow_mut();
+        for _ in 0..job.trials {
+            let db = Database::new(job.n, job.target);
+            let run = search.run_statevector_in(&db, &partition, rng, scratch);
+            queries += run.outcome.queries;
+            success = run.success_probability;
+            reported.push(run.outcome.reported_block);
+        }
+    });
     let true_block = partition.block_of(job.target);
     finish(
         job,
@@ -468,6 +473,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn ideal_statevector_jobs_run_in_the_worker_scratch() {
+        // On a fresh thread, so the thread-local scratch starts empty.
+        std::thread::spawn(|| {
+            let held = || WORKER_SCRATCH.with(|cell| cell.borrow().capacity());
+            assert_eq!(held(), 0);
+            let large = SearchJob::new(1, 1 << 12, 4, 77).with_backend(BackendHint::StateVector);
+            let first = run(large);
+            assert!(held() >= 1 << 12, "the planes return to the worker");
+            // A smaller job runs in the held buffer, which keeps its size,
+            // and what the buffer held before does not reach the result.
+            let small = SearchJob::new(2, 1 << 8, 4, 9)
+                .with_backend(BackendHint::StateVector)
+                .with_trials(3);
+            let elsewhere = std::thread::spawn(move || run(small))
+                .join()
+                .expect("reference thread");
+            assert_eq!(run(small), elsewhere);
+            assert!(held() >= 1 << 12);
+            assert_eq!(run(large), first);
+        })
+        .join()
+        .expect("scratch thread");
     }
 
     #[test]

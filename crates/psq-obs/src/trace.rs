@@ -43,7 +43,7 @@ pub mod stage {
     pub const PLAN: &str = "plan";
     /// Result-cache lookup.
     pub const CACHE: &str = "cache";
-    /// Time a job waited in the coalescer for batch company.
+    /// Time a job waited in the coalescer for its batch to dispatch.
     pub const COALESCE: &str = "coalesce";
     /// End-to-end time a job spent inside the front-tier router
     /// (admission → answer forwarded to the client).

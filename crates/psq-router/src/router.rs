@@ -34,9 +34,9 @@ use parking_lot::Mutex;
 use psq_engine::{SearchJob, SweepSpec};
 use psq_obs::{stage, trace};
 use psq_serve::protocol::{parse_request, parse_response, Command, ErrorKind, Request, Response};
+use psq_serve::server::spawn_writer;
 use psq_serve::session::{OutLine, Session, SessionRegistry};
 use psq_serve::LineOutcome;
-use serde::Value;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1007,29 +1007,6 @@ impl RouterClient {
 
     /// Feeds one request line; the answer arrives on the response channel.
     pub fn submit_line(&self, line: &str) -> LineOutcome {
-        // `restart` is router-only vocabulary (workers never see it), so it
-        // is handled before the shared protocol parser.
-        if let Ok(value) = serde_json::parse_value(line) {
-            if value
-                .as_object()
-                .and_then(|object| object.get("cmd"))
-                .and_then(Value::as_str)
-                == Some("restart")
-            {
-                let shared = Arc::clone(&self.shared);
-                std::thread::Builder::new()
-                    .name("psq-router-restart".to_string())
-                    .spawn(move || shared.rolling_restart())
-                    .expect("failed to spawn the restart thread");
-                self.session.send(
-                    Response::Ack {
-                        cmd: "restart".to_string(),
-                    }
-                    .to_line(),
-                );
-                return LineOutcome::Continue;
-            }
-        }
         match parse_request(line) {
             Err(reason) => {
                 self.session.count_intake_error();
@@ -1051,6 +1028,21 @@ impl RouterClient {
             }
             Ok(Some(Request::Command(Command::Health))) => {
                 self.session.send(self.shared.health().to_line());
+                LineOutcome::Continue
+            }
+            // Router-only vocabulary: workers never see it.
+            Ok(Some(Request::Command(Command::Restart))) => {
+                let shared = Arc::clone(&self.shared);
+                std::thread::Builder::new()
+                    .name("psq-router-restart".to_string())
+                    .spawn(move || shared.rolling_restart())
+                    .expect("failed to spawn the restart thread");
+                self.session.send(
+                    Response::Ack {
+                        cmd: Command::Restart.label().to_string(),
+                    }
+                    .to_line(),
+                );
                 LineOutcome::Continue
             }
             Ok(Some(Request::Command(command @ (Command::Drain | Command::Shutdown)))) => {
@@ -1377,39 +1369,6 @@ impl Drop for Router {
         }
         self.shared.registry.kick_all();
     }
-}
-
-/// Drains response lines onto the wire, flushing whenever the channel
-/// momentarily empties (same amortised-flush policy as psq-serve).
-fn spawn_writer<W: Write + Send + 'static>(
-    name: &str,
-    responses: Receiver<OutLine>,
-    mut writer: W,
-) -> std::thread::JoinHandle<std::io::Result<()>> {
-    std::thread::Builder::new()
-        .name(name.to_string())
-        .spawn(move || {
-            loop {
-                match responses.try_recv() {
-                    Some(line) => {
-                        writer.write_all(line.as_bytes())?;
-                        writer.write_all(b"\n")?;
-                    }
-                    None => {
-                        writer.flush()?;
-                        match responses.recv() {
-                            Ok(line) => {
-                                writer.write_all(line.as_bytes())?;
-                                writer.write_all(b"\n")?;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                }
-            }
-            writer.flush()
-        })
-        .expect("failed to spawn a writer thread")
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::io::{BufRead, BufReader, Write};
+use psq_serve::server::spawn_writer;
+use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 
 /// What a worker's reader thread reports back to the router.
@@ -46,7 +47,7 @@ pub enum WorkerEvent {
 pub struct WorkerLink {
     child: Mutex<Child>,
     tx: Sender<String>,
-    writer: Option<std::thread::JoinHandle<()>>,
+    writer: Option<std::thread::JoinHandle<std::io::Result<()>>>,
     /// The generation this process was spawned as.
     pub generation: u64,
 }
@@ -91,23 +92,12 @@ impl WorkerLink {
             spawn_trace_collector(stderr, slot, generation);
         }
 
+        // A dead child makes the writer's next write fail and its thread
+        // end, so `send_line` reports it; the reader's EOF reports it to
+        // the router. Once the channel disconnects, dropping stdin EOFs the
+        // worker so a healthy child drains and exits on its own.
         let (tx, rx): (Sender<String>, Receiver<String>) = unbounded();
-        let writer = std::thread::Builder::new()
-            .name(format!("psq-router-w{slot}-writer"))
-            .spawn(move || {
-                let mut stdin = stdin;
-                while let Ok(line) = rx.recv() {
-                    if stdin.write_all(line.as_bytes()).is_err()
-                        || stdin.write_all(b"\n").is_err()
-                        || stdin.flush().is_err()
-                    {
-                        break; // dead child: the reader's EOF reports it
-                    }
-                }
-                // Channel disconnected: dropping stdin EOFs the worker so a
-                // healthy child drains and exits on its own.
-            })
-            .expect("failed to spawn a worker writer thread");
+        let writer = spawn_writer(&format!("psq-router-w{slot}-writer"), rx, stdin);
 
         std::thread::Builder::new()
             .name(format!("psq-router-w{slot}-reader"))

@@ -289,6 +289,55 @@ fn rolling_restart_mid_stream_loses_nothing() {
     }
 }
 
+/// The wire spelling `{"cmd":"restart"}` is acked at once and rolls every
+/// worker to a new generation while jobs keep being answered.
+#[test]
+fn restart_line_is_acked_and_rolls_every_worker() {
+    let jobs = generate_mixed_batch(16, 71);
+    let input: String = std::iter::once("{\"cmd\":\"restart\"}".to_string())
+        .chain(
+            jobs.iter()
+                .map(|job| serde_json::to_string(job).expect("jobs serialise")),
+        )
+        .map(|line| line + "\n")
+        .collect();
+    let router = Router::start(test_config(2));
+    let sink = SharedSink::default();
+    router
+        .serve_pipe(input.as_bytes(), sink.clone())
+        .expect("pipe session");
+    let lines = sink.lines();
+    let ack = Response::Ack {
+        cmd: "restart".to_string(),
+    };
+    assert_eq!(lines[0], ack.to_line(), "acked before any job is answered");
+    let mut routed = HashMap::new();
+    for line in &lines[1..] {
+        match parse_response(line).expect("well-formed response line") {
+            Response::Result(result) => {
+                let id = result.job_id;
+                assert!(
+                    routed.insert(id, *result).is_none(),
+                    "id {id} was answered twice"
+                );
+            }
+            other => panic!("expected only results, got {other:?}"),
+        }
+    }
+    assert_bit_identical(&routed, &jobs);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !router
+        .metrics()
+        .workers
+        .iter()
+        .all(|worker| worker.generation >= 2 && worker.state == "up")
+    {
+        assert!(Instant::now() < deadline, "the restart never finished");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    router.finish();
+}
+
 /// When every worker is saturated, new jobs are shed with a structured
 /// `overload` error — never queued unboundedly, never silently dropped.
 #[test]

@@ -52,8 +52,10 @@ fn help() -> String {
          \x20 --tcp ADDR                   listen on ADDR (e.g. 127.0.0.1:7070) instead\n\
          \x20                              of stdin/stdout\n\
          \x20 --max-batch N                largest coalesced engine batch (default 256)\n\
-         \x20 --max-delay-us U             longest a job waits for batch company, in\n\
-         \x20                              microseconds (default 2000)\n\
+         \x20 --max-delay-us U             longest a batch waits for company beyond the\n\
+         \x20                              jobs already queued, in microseconds; 0\n\
+         \x20                              dispatches as soon as the scheduler is free\n\
+         \x20                              (default 0)\n\
          \x20 --max-inflight N             per-client bound on unanswered jobs; beyond\n\
          \x20                              it submissions get overload errors (default 1024)\n\
          \x20 --idle-timeout-ms MS         close a TCP session after MS ms without a\n\

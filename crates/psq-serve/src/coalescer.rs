@@ -1,15 +1,19 @@
 //! The micro-batching coalescer: the heart of the serving layer.
 //!
-//! A single scheduler thread drains the MPSC intake queue under a
-//! `max_batch` / `max_delay_us` policy: the first job opens a batch and
-//! starts the dwell clock, further jobs join until the batch is full or the
-//! clock runs out, and the whole batch goes to [`psq_engine::Engine::run_batch`]
-//! as one submission. That recovers the paper economics at the serving
-//! layer — many small client requests amortise planning, share the plan and
-//! result caches (dedup applies *across* clients: two clients posting the
-//! same deterministic spec execute it once), and keep the work-stealing
-//! pool saturated — at the cost of at most `max_delay_us` of added latency
-//! for a lone request.
+//! A single scheduler thread drains the MPSC intake queue and dispatches
+//! **work-conserving** batches: the first job opens a batch, everything
+//! already queued behind it joins at once (up to `max_batch`), and the
+//! whole batch goes to [`psq_engine::Engine::run_batch`] as one submission.
+//! The scheduler runs each batch to completion, so jobs that arrive
+//! meanwhile queue up and form the next batch: batches grow with load by
+//! themselves, while a request to an idle server is dispatched immediately.
+//! That recovers the paper economics at the serving layer — many small
+//! client requests amortise planning, share the plan and result caches
+//! (dedup applies *across* clients: two clients posting the same
+//! deterministic spec execute it once), and keep the work-stealing pool
+//! saturated — without making any job wait while the engine is free.
+//! A configured `max_delay_us > 0` adds a dwell: the batch also waits up to
+//! that long for company before it dispatches.
 //!
 //! Job ids are client-assigned and may collide across clients, so the
 //! coalescer renumbers jobs to their batch index before submission and
@@ -30,7 +34,10 @@ use std::time::{Duration, Instant};
 pub struct CoalescerConfig {
     /// Largest batch handed to the engine in one submission.
     pub max_batch: usize,
-    /// Longest a batch's first job waits for company, in microseconds.
+    /// Longest a batch's first job waits for company beyond what is
+    /// already queued, in microseconds. The default 0 dispatches as soon as
+    /// the scheduler is free; a positive dwell trades that much added
+    /// latency for larger batches under light load.
     pub max_delay_us: u64,
 }
 
@@ -38,7 +45,7 @@ impl Default for CoalescerConfig {
     fn default() -> Self {
         Self {
             max_batch: 256,
-            max_delay_us: 2_000,
+            max_delay_us: 0,
         }
     }
 }
@@ -164,25 +171,27 @@ pub fn run_coalescer(
             Err(_) => return, // all senders gone, queue fully drained
         };
         batch.push(first);
-        // Dwell: coalesce company until the batch fills or the clock runs
-        // out. A disconnect or shutdown marker ends the dwell early.
+        // Take everything already queued without waiting; only then wait
+        // for company, and only while the configured dwell runs. The batch
+        // dispatches when it fills, the queue is empty past the dwell, or a
+        // disconnect or shutdown marker arrives.
         let deadline = Instant::now() + dwell;
         let mut stop = false;
         while batch.len() < max_batch {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break;
+            let next = match intake.try_recv() {
+                Some(submission) => Ok(submission),
+                None => match deadline.checked_duration_since(Instant::now()) {
+                    Some(remaining) if !remaining.is_zero() => intake.recv_timeout(remaining),
+                    _ => break,
+                },
             };
-            match intake.recv_timeout(remaining) {
+            match next {
                 Ok(Submission::Job(ticket)) => batch.push(ticket),
-                Ok(Submission::Shutdown) => {
+                Ok(Submission::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
                     stop = true;
                     break;
                 }
                 Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    stop = true;
-                    break;
-                }
             }
         }
         execute_batch(engine, std::mem::take(&mut batch), stats);
@@ -221,7 +230,8 @@ fn execute_batch(engine: &EngineHandle, mut tickets: Vec<JobTicket>, stats: &Ser
         return;
     }
     stats.record_batch(tickets.len() as u64);
-    // Dwell: how long each job waited for batch company, measured at the
+    // Dwell: how long each job waited for its batch to dispatch (for the
+    // scheduler to be free, plus any configured dwell), measured at the
     // moment the batch dispatches. Feeds the always-on dwell histogram and
     // (when tracing is on) a "coalesce" trace event under the client's id.
     for ticket in &tickets {
@@ -346,6 +356,53 @@ mod tests {
         assert!(m.batches >= 3, "40 jobs over max_batch 16 need ≥ 3 batches");
         assert!(m.batch_jobs_max <= 16);
         assert!(m.latency_us_p99 > 0.0);
+        assert_eq!(m.queue_depth, 0);
+    }
+
+    /// With no dwell, everything queued behind a batch's first job joins it
+    /// at once: 40 queued jobs leave in exactly ⌈40 / 16⌉ full batches.
+    #[test]
+    fn zero_dwell_takes_every_queued_job_into_the_batch() {
+        let engine = engine();
+        let stats = Arc::new(ServeStats::default());
+        let registry = SessionRegistry::default();
+        let (out_tx, out_rx) = unbounded();
+        let session = registry.attach(out_tx, 1024);
+        let (tx, rx) = unbounded();
+        for id in 0..40u64 {
+            assert!(session.try_admit());
+            stats.record_submitted();
+            tx.send(Submission::Job(JobTicket::new(
+                Arc::clone(&session),
+                SearchJob::new(id, 1 << 10, 4, (id * 13) % (1 << 10)),
+                Arc::clone(&stats),
+                None,
+            )))
+            .unwrap();
+        }
+        drop(tx);
+        run_coalescer(
+            &engine,
+            &rx,
+            &stats,
+            CoalescerConfig {
+                max_batch: 16,
+                max_delay_us: 0,
+            },
+        );
+        drop(session);
+        assert_eq!(out_rx.iter().count(), 40);
+        let m = stats.snapshot(
+            Vec::new(),
+            0,
+            1,
+            Default::default(),
+            Default::default(),
+            Default::default(),
+        );
+        assert_eq!(m.jobs_completed, 40);
+        assert_eq!(m.batches, 3, "16 + 16 + 8");
+        assert_eq!(m.batch_jobs_max, 16);
         assert_eq!(m.queue_depth, 0);
     }
 

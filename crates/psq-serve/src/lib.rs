@@ -8,9 +8,12 @@
 //!   per line in, one tagged response line out, order-independent via
 //!   client-assigned ids; control commands for metrics and shutdown;
 //! * [`coalescer`] — the micro-batching scheduler: a dedicated thread
-//!   drains the MPSC intake under a `max_batch`/`max_delay_us` policy and
-//!   coalesces *all* clients' jobs into single engine batches, so the plan
-//!   cache, the result cache and in-batch dedup work across clients;
+//!   coalesces *all* clients' queued jobs into single engine batches, so
+//!   the plan cache, the result cache and in-batch dedup work across
+//!   clients. Dispatch is work-conserving: a batch takes everything queued
+//!   (up to `max_batch`) and leaves as soon as the scheduler is free, so
+//!   batches grow with load while a lone request waits for nothing
+//!   (`max_delay_us`, default 0, adds an optional dwell);
 //! * [`session`] — per-client state: response channel, bounded in-flight
 //!   admission control (overload answers are JSON errors, never
 //!   disconnects), lifetime counters;

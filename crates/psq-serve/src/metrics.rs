@@ -7,8 +7,8 @@
 //! moment its response line was handed to the client's writer, and is
 //! recorded into a lock-free `psq_obs::Histogram` (log2 buckets, exact
 //! max) — cheap enough for every answer, cumulative over the server's
-//! lifetime. Coalescer dwell (how long a job waited for batch company) gets
-//! its own histogram, and the snapshot carries the shared engine's
+//! lifetime. Coalescer dwell (how long a job waited for its batch to
+//! dispatch) gets its own histogram, and the snapshot carries the shared engine's
 //! per-stage histograms (`EngineObsSnapshot`) so one `{"cmd":"metrics"}`
 //! answer covers the whole pipeline.
 
@@ -395,7 +395,8 @@ impl ServeStats {
         self.batch_jobs_max.fetch_max(jobs, Ordering::Relaxed);
     }
 
-    /// A job spent `dwell_us` in the coalescer waiting for batch company.
+    /// A job spent `dwell_us` in the coalescer waiting for its batch to
+    /// dispatch.
     pub fn record_dwell(&self, dwell_us: f64) {
         self.dwell.record(dwell_us);
     }

@@ -29,7 +29,9 @@
 //!   metrics), `{"cmd":"health"}` (a cheap liveness probe),
 //!   `{"cmd":"drain"}` (stop accepting work, flush in-flight jobs, end the
 //!   session — the rolling-restart hook) or `{"cmd":"shutdown"}` (drain
-//!   in-flight work and stop the server).
+//!   in-flight work and stop the server). `{"cmd":"restart"}` parses too,
+//!   but only psq-router acts on it; psq-serve answers it with a `parse`
+//!   error.
 //!
 //! **Responses** (server → client), one per line, each tagged with a
 //! `"type"` discriminant:
@@ -122,6 +124,10 @@ pub enum Command {
     Drain,
     /// Drain in-flight work across all clients and stop the server.
     Shutdown,
+    /// Drain and respawn every worker of a psq-router fleet, one at a
+    /// time. Router vocabulary: a lone psq-serve answers it with a `parse`
+    /// error, as it does any command it does not know.
+    Restart,
 }
 
 impl Command {
@@ -132,6 +138,7 @@ impl Command {
             Command::Health => "health",
             Command::Drain => "drain",
             Command::Shutdown => "shutdown",
+            Command::Restart => "restart",
         }
     }
 }
@@ -195,6 +202,7 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
             "health" => Command::Health,
             "drain" => Command::Drain,
             "shutdown" => Command::Shutdown,
+            "restart" => Command::Restart,
             other => return Err(format!("unknown command `{other}`")),
         };
         return Ok(Some(Request::Command(command)));
@@ -559,6 +567,10 @@ mod tests {
         assert_eq!(
             parse_request("{\"cmd\":\"drain\"}").expect("parses"),
             Some(Request::Command(Command::Drain))
+        );
+        assert_eq!(
+            parse_request("{\"cmd\":\"restart\"}").expect("parses"),
+            Some(Request::Command(Command::Restart))
         );
         assert_eq!(parse_request("").expect("blank"), None);
         assert_eq!(parse_request("   ").expect("blank"), None);

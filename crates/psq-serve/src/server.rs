@@ -18,10 +18,10 @@
 //! Shutdown is graceful everywhere: EOF (pipe) or `{"cmd":"shutdown"}`
 //! (either transport) stops intake, the coalescer drains every admitted
 //! job, writers flush every pending response, and only then do threads
-//! join. The response writers flush opportunistically — whenever their
-//! channel momentarily empties rather than after every line — so a
-//! streaming client sees results as they complete without per-line
-//! syscall overhead.
+//! join. The response writers ([`spawn_writer`]) write in chunks and flush
+//! whenever their channel momentarily empties rather than after every
+//! line, so a streaming client sees results as they complete without
+//! per-line syscall overhead.
 
 use crate::coalescer::{run_coalescer, CoalescerConfig, JobTicket, Submission};
 use crate::metrics::{ServeMetrics, ServeStats};
@@ -148,16 +148,7 @@ impl Client {
             Ok(Some(request)) => request,
             Ok(None) => return LineOutcome::Continue, // blank line
             Err(reason) => {
-                self.session.count_intake_error();
-                self.shared.stats.record_rejected_at_intake();
-                self.session.send(
-                    Response::Error {
-                        id: None,
-                        kind: ErrorKind::Parse,
-                        reason,
-                    }
-                    .to_line(),
-                );
+                self.refuse_line(reason);
                 return LineOutcome::Continue;
             }
         };
@@ -198,7 +189,27 @@ impl Client {
                 self.submit_sweep(*base, &spec, trace);
                 LineOutcome::Continue
             }
+            // Router vocabulary: refused exactly like an unknown command.
+            Request::Command(Command::Restart) => {
+                self.refuse_line(format!("unknown command `{}`", Command::Restart.label()));
+                LineOutcome::Continue
+            }
         }
+    }
+
+    /// Answers a line that is not a request this server serves with a
+    /// `parse` error.
+    fn refuse_line(&self, reason: String) {
+        self.session.count_intake_error();
+        self.shared.stats.record_rejected_at_intake();
+        self.session.send(
+            Response::Error {
+                id: None,
+                kind: ErrorKind::Parse,
+                reason,
+            }
+            .to_line(),
+        );
     }
 
     /// Submits one already-parsed job (admission control applies) with no
@@ -488,36 +499,49 @@ impl Drop for Server {
     }
 }
 
-/// Spawns the writer half of a client: drains response lines onto the wire,
-/// flushing whenever the channel momentarily empties (amortised flushes,
-/// but a waiting client never stalls on a buffered result).
-fn spawn_writer<W: Write + Send + 'static>(
+/// Bytes a line writer gathers before it writes them to its sink.
+const WRITE_CHUNK: usize = 8 * 1024;
+
+/// Spawns a line writer: drains `lines` onto `sink`, each terminated by
+/// `\n`. Lines gather in a buffer that goes out in one write once it holds
+/// 8 KiB, or as soon as the channel momentarily empties (followed by a
+/// flush). A burst therefore costs one write per 8 KiB,
+/// while a waiting peer never stalls on a buffered line. The sink needs no
+/// buffering of its own: line-buffered stdout, a TCP stream and a child's
+/// stdin all receive whole chunks. The thread ends once every sender is
+/// gone and the last line is written.
+///
+/// Every client of psq-serve and psq-router, and every router-to-worker
+/// pipe, is written through this one function.
+pub fn spawn_writer<W: Write + Send + 'static>(
     name: &str,
-    responses: Receiver<OutLine>,
-    mut writer: W,
+    lines: Receiver<OutLine>,
+    mut sink: W,
 ) -> JoinHandle<std::io::Result<()>> {
     std::thread::Builder::new()
         .name(name.to_string())
         .spawn(move || {
+            let mut chunk: Vec<u8> = Vec::with_capacity(2 * WRITE_CHUNK);
             loop {
-                match responses.try_recv() {
-                    Some(line) => {
-                        writer.write_all(line.as_bytes())?;
-                        writer.write_all(b"\n")?;
-                    }
+                let line = match lines.try_recv() {
+                    Some(line) => line,
                     None => {
-                        writer.flush()?;
-                        match responses.recv() {
-                            Ok(line) => {
-                                writer.write_all(line.as_bytes())?;
-                                writer.write_all(b"\n")?;
-                            }
-                            Err(_) => break, // session fully answered and gone
+                        sink.write_all(&chunk)?;
+                        chunk.clear();
+                        sink.flush()?;
+                        match lines.recv() {
+                            Ok(line) => line,
+                            Err(_) => return Ok(()), // every sender gone
                         }
                     }
+                };
+                chunk.extend_from_slice(line.as_bytes());
+                chunk.push(b'\n');
+                if chunk.len() >= WRITE_CHUNK {
+                    sink.write_all(&chunk)?;
+                    chunk.clear();
                 }
             }
-            writer.flush()
         })
         .expect("failed to spawn a writer thread")
 }
@@ -755,6 +779,108 @@ mod tests {
             other => panic!("expected invalid error, got {other:?}"),
         }
         server.finish();
+    }
+
+    /// `restart` is router vocabulary: a lone server refuses it with the
+    /// same `parse` error as any command it does not know, and counts it
+    /// the same way.
+    #[test]
+    fn restart_is_refused_like_an_unknown_command() {
+        let server = Server::start(tiny_config());
+        let (client, responses) = server.attach();
+        for line in ["{\"cmd\":\"restart\"}", "{\"cmd\":\"dance\"}"] {
+            assert_eq!(client.submit_line(line), LineOutcome::Continue);
+        }
+        drop(client);
+        let refusal = |name: &str| {
+            Response::Error {
+                id: None,
+                kind: ErrorKind::Parse,
+                reason: format!("unknown command `{name}`"),
+            }
+            .to_line()
+        };
+        let lines: Vec<String> = responses.iter().collect();
+        assert_eq!(lines, vec![refusal("restart"), refusal("dance")]);
+        assert_eq!(server.metrics().jobs_errored, 2);
+        assert!(!server.shutdown_requested());
+        server.finish();
+    }
+
+    /// A sink that logs every `write` and `flush` it receives, in order.
+    #[derive(Clone, Default)]
+    struct CountingSink(Arc<parking_lot::Mutex<Vec<Option<Vec<u8>>>>>);
+
+    impl CountingSink {
+        /// The `write` calls so far (flushes left out).
+        fn writes(&self) -> Vec<Vec<u8>> {
+            self.0.lock().iter().flatten().cloned().collect()
+        }
+
+        fn last_was_flush(&self) -> bool {
+            matches!(self.0.lock().last(), Some(None))
+        }
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().push(Some(data.to_vec()));
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.0.lock().push(None);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_sends_queued_lines_in_8_kib_chunks() {
+        let (tx, rx) = unbounded();
+        let lines: Vec<String> = (0..600)
+            .map(|i| format!("{{\"id\":{i},\"pad\":\"{}\"}}", "x".repeat(i % 113)))
+            .collect();
+        for line in &lines {
+            tx.send(line.clone()).expect("writer channel open");
+        }
+        drop(tx);
+        let sink = CountingSink::default();
+        spawn_writer("test-writer", rx, sink.clone())
+            .join()
+            .expect("writer thread")
+            .expect("writes succeed");
+        let writes = sink.writes();
+        let expected: String = lines.iter().map(|line| format!("{line}\n")).collect();
+        assert_eq!(writes.concat(), expected.as_bytes());
+        assert!(
+            writes.len() <= expected.len().div_ceil(WRITE_CHUNK),
+            "{} bytes took {} writes",
+            expected.len(),
+            writes.len()
+        );
+        assert!(sink.last_was_flush());
+    }
+
+    #[test]
+    fn writer_flushes_a_lone_line_without_waiting_for_another() {
+        let (tx, rx) = unbounded();
+        let sink = CountingSink::default();
+        let writer = spawn_writer("test-writer", rx, sink.clone());
+        tx.send("{\"type\":\"ack\",\"cmd\":\"health\"}".to_string())
+            .expect("writer channel open");
+        // The sender stays open: the line must go out on its own.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !(sink.writes().concat() == b"{\"type\":\"ack\",\"cmd\":\"health\"}\n"
+            && sink.last_was_flush())
+        {
+            assert!(Instant::now() < deadline, "a lone line was held back");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(tx);
+        writer
+            .join()
+            .expect("writer thread")
+            .expect("writes succeed");
     }
 
     #[test]

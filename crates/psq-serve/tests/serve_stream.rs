@@ -12,6 +12,7 @@ use psq_serve::{ClientCounters, CoalescerConfig, LineOutcome, ServeConfig, Serve
 use serde::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
+use std::time::{Duration, Instant};
 
 /// The fields a streamed result must share with direct batch execution
 /// (everything deterministic except the client-rewritten `job_id`).
@@ -570,6 +571,138 @@ fn selftest_with_trace_emits_well_formed_stage_lines() {
         stages.keys().any(|stage| stage.starts_with("execute:")),
         "at least one execute:<backend> trace line (saw {stages:?})"
     );
+}
+
+/// Work-conserving dispatch: under the default config a request to an idle
+/// server runs at once instead of waiting for batch company. Fifty lone
+/// round trips, each waiting for its reply before the next is sent, take a
+/// median well under 1 ms and finish in under 50 × 2 ms in total; a 2 ms
+/// dwell alone would hold every one of them at least 2 ms. The median, not
+/// each trip, carries the tight bound, so a scheduling hiccup on a busy
+/// host cannot fail the test.
+#[test]
+fn lone_requests_to_an_idle_server_are_dispatched_at_once() {
+    let server = Server::start(ServeConfig::default());
+    let (client, responses) = server.attach();
+    let started = Instant::now();
+    let mut trips = Vec::new();
+    for id in 0..50u64 {
+        let sent = Instant::now();
+        let job = SearchJob::new(id, 1 << 10, 4, (id * 37) % (1 << 10));
+        client.submit_line(&serde_json::to_string(&job).expect("serialises"));
+        let line = responses
+            .recv_timeout(Duration::from_secs(10))
+            .expect("every request is answered");
+        trips.push(sent.elapsed());
+        match parse_response(&line).expect("well-formed response") {
+            Response::Result(result) => assert_eq!(result.job_id, id),
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+    let total = started.elapsed();
+    trips.sort_unstable();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(1),
+        "median lone round trip {median:?}"
+    );
+    assert!(
+        total < Duration::from_millis(100),
+        "50 lone round trips took {total:?}"
+    );
+    assert_eq!(
+        server.metrics().batches,
+        50,
+        "each lone job is its own batch"
+    );
+    drop(client);
+    server.finish();
+}
+
+/// Accounting under concurrency: four clients submit 200 jobs each from
+/// their own threads, with colliding ids, against the default config.
+/// Every (client, id) pair is answered exactly once with that client's own
+/// job, each client's counters and the server's equal the results the
+/// clients saw, and the queue drains to zero. Looped, so a rare
+/// interleaving gets many chances to show.
+#[test]
+fn concurrent_clients_are_answered_exactly_once_and_counted_exactly() {
+    const CLIENTS: u64 = 4;
+    const JOBS: u64 = 200;
+    const N: u64 = 1 << 10;
+    const K: u64 = 4;
+    let target = |client: u64, id: u64| (id * 31 + client * 101) % N;
+    for round in 0..20 {
+        let server = Server::start(ServeConfig::default());
+        std::thread::scope(|scope| {
+            for client_index in 0..CLIENTS {
+                let server = &server;
+                scope.spawn(move || {
+                    let (client, responses) = server.attach();
+                    for id in 0..JOBS {
+                        let job = SearchJob::new(id, N, K, target(client_index, id));
+                        client.submit_line(&serde_json::to_string(&job).expect("serialises"));
+                    }
+                    let mut answered = vec![false; JOBS as usize];
+                    for _ in 0..JOBS {
+                        let line = responses
+                            .recv_timeout(Duration::from_secs(30))
+                            .expect("every job is answered");
+                        match parse_response(&line).expect("well-formed response") {
+                            Response::Result(result) => {
+                                let id = result.job_id;
+                                assert!(id < JOBS, "round {round}: unknown id {id}");
+                                assert!(
+                                    !std::mem::replace(&mut answered[id as usize], true),
+                                    "round {round}: client {client_index} id {id} answered twice"
+                                );
+                                assert_eq!(
+                                    result.true_block,
+                                    target(client_index, id) / (N / K),
+                                    "round {round}: client {client_index} got another's job"
+                                );
+                            }
+                            other => panic!("round {round}: expected a result, got {other:?}"),
+                        }
+                    }
+                    // The client has seen all its results: its own counters
+                    // must say exactly that.
+                    client.submit_line("{\"cmd\":\"metrics\"}");
+                    let line = responses
+                        .recv_timeout(Duration::from_secs(30))
+                        .expect("metrics answered");
+                    match parse_response(&line).expect("well-formed response") {
+                        Response::Metrics(metrics) => {
+                            let own = metrics
+                                .clients
+                                .iter()
+                                .find(|counters| counters.client == client.session().id)
+                                .expect("an attached client is listed");
+                            assert_eq!(
+                                (own.submitted, own.completed, own.errors, own.overloaded),
+                                (JOBS, JOBS, 0, 0),
+                                "round {round}: client {client_index}"
+                            );
+                            assert!(metrics.jobs_completed >= JOBS);
+                        }
+                        other => panic!("round {round}: expected metrics, got {other:?}"),
+                    }
+                    drop(client);
+                    assert_eq!(
+                        responses.iter().count(),
+                        0,
+                        "round {round}: no reply beyond one per job"
+                    );
+                });
+            }
+        });
+        let metrics = server.metrics();
+        assert_eq!(metrics.jobs_submitted, CLIENTS * JOBS, "round {round}");
+        assert_eq!(metrics.jobs_completed, CLIENTS * JOBS, "round {round}");
+        assert_eq!(metrics.jobs_errored, 0, "round {round}");
+        assert_eq!(metrics.queue_depth, 0, "round {round}");
+        server.finish();
+    }
 }
 
 /// Builds a histogram snapshot over the given samples.

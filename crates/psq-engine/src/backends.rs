@@ -50,30 +50,42 @@ pub fn execute(job: &SearchJob, plan: &ExecutionPlan) -> SearchResult {
     }
 }
 
-/// Majority vote with ties to the lowest block index.
-fn majority_block(reported: &[u64]) -> u64 {
-    let mut best_block = u64::MAX;
-    let mut best_count = 0usize;
-    for &candidate in reported {
-        let count = reported.iter().filter(|&&b| b == candidate).count();
-        if count > best_count || (count == best_count && candidate < best_block) {
-            best_count = count;
-            best_block = candidate;
+/// Majority vote over the trials' reports (the most frequent value, ties to
+/// the lowest) and the number of reports equal to `truth`. Sorts `reported`
+/// in place and scans its runs once: O(t log t) for `t` trials, with no
+/// allocation.
+fn tally(reported: &mut [u64], truth: u64) -> (u64, u32) {
+    reported.sort_unstable();
+    let (mut winner, mut winner_len) = (u64::MAX, 0usize);
+    let mut matching = 0usize;
+    let mut start = 0usize;
+    while start < reported.len() {
+        let value = reported[start];
+        let len = reported[start..]
+            .iter()
+            .take_while(|&&v| v == value)
+            .count();
+        // Runs come in ascending order, so a tie keeps the lower value.
+        if len > winner_len {
+            (winner, winner_len) = (value, len);
         }
+        if value == truth {
+            matching = len;
+        }
+        start += len;
     }
-    best_block
+    (winner, matching as u32)
 }
 
 fn finish(
     job: &SearchJob,
     backend: Backend,
-    reported: Vec<u64>,
+    mut reported: Vec<u64>,
     true_block: u64,
     queries: u64,
     success_estimate: f64,
 ) -> SearchResult {
-    let trials_correct = reported.iter().filter(|&&b| b == true_block).count() as u32;
-    let block_found = majority_block(&reported);
+    let (block_found, trials_correct) = tally(&mut reported, true_block);
     SearchResult {
         job_id: job.id,
         backend,
@@ -96,8 +108,9 @@ thread_local! {
     /// reused across every level, trial *and job* a worker executes —
     /// steady-state batch serving performs O(1) allocations per worker, and
     /// a worker's memory is its largest state so far whatever order its
-    /// jobs arrive in. Scratch contents never affect results (pinned by the
-    /// cross-thread bit-identity tests).
+    /// jobs arrive in. Ideal states are real, so the scratch holds one
+    /// plane until a dephasing job makes a state complex. Scratch contents
+    /// never affect results (pinned by the cross-thread bit-identity tests).
     static WORKER_SCRATCH: std::cell::RefCell<AmplitudeScratch> =
         std::cell::RefCell::new(AmplitudeScratch::new());
 }
@@ -178,8 +191,7 @@ fn run_recursive(job: &SearchJob, plan: &ExecutionPlan) -> SearchResult {
     // the level shapes, but a lost descent records plan predictions where a
     // found one records simulated values, so trials can differ marginally.
     let success = success_sum / f64::from(job.trials);
-    let address = majority_block(&reported);
-    let trials_correct = reported.iter().filter(|&&a| a == job.target).count() as u32;
+    let (address, trials_correct) = tally(&mut reported, job.target);
     SearchResult {
         job_id: job.id,
         backend: Backend::Recursive,
@@ -385,12 +397,57 @@ mod tests {
         execute(&job, &plan)
     }
 
+    /// The vote's unsorted-slice form, for the tie-breaking table below.
+    fn majority_block(reported: &[u64]) -> u64 {
+        tally(&mut reported.to_vec(), 0).0
+    }
+
     #[test]
     fn majority_vote_breaks_ties_low() {
         assert_eq!(majority_block(&[3]), 3);
         assert_eq!(majority_block(&[2, 2, 5]), 2);
         assert_eq!(majority_block(&[5, 2]), 2);
         assert_eq!(majority_block(&[7, 7, 1, 1, 1]), 1);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tally_matches_a_brute_force_count(
+            reported in proptest::collection::vec(0u64..6, 0..64),
+            truth in 0u64..6,
+        ) {
+            // The quadratic reference: count every candidate against the
+            // whole vote vector, ties to the lowest value.
+            let mut want = (u64::MAX, 0usize);
+            for &candidate in &reported {
+                let count = reported.iter().filter(|&&b| b == candidate).count();
+                if count > want.1 || (count == want.1 && candidate < want.0) {
+                    want = (candidate, count);
+                }
+            }
+            let correct = reported.iter().filter(|&&b| b == truth).count() as u32;
+            let mut votes = reported.clone();
+            proptest::prop_assert_eq!(tally(&mut votes, truth), (want.0, correct));
+        }
+    }
+
+    #[test]
+    fn a_200k_trial_vote_takes_well_under_ten_seconds() {
+        // A quadratic vote needs ~4·10^10 comparisons here (≈ 15 s even in
+        // release); sorting and scanning the runs takes milliseconds.
+        let job = SearchJob::new(5, 1 << 20, 4, 123_456)
+            .with_backend(BackendHint::Reduced)
+            .with_trials(200_000);
+        let started = std::time::Instant::now();
+        let result = run(job);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "took {elapsed:?}"
+        );
+        assert!(result.correct);
+        assert_eq!(result.trials, 200_000);
+        assert!(result.trials_correct > 190_000);
     }
 
     #[test]
@@ -495,6 +552,40 @@ mod tests {
             assert_eq!(run(small), elsewhere);
             assert!(held() >= 1 << 12);
             assert_eq!(run(large), first);
+        })
+        .join()
+        .expect("scratch thread");
+    }
+
+    #[test]
+    fn worker_scratch_holds_an_imaginary_plane_only_after_dephasing() {
+        // On a fresh thread, so the thread-local scratch starts empty.
+        std::thread::spawn(|| {
+            let im_held = || WORKER_SCRATCH.with(|cell| cell.borrow().im_capacity());
+            let ideal = SearchJob::new(1, 1 << 12, 4, 77)
+                .with_backend(BackendHint::StateVector)
+                .with_trials(2);
+            let first = run(ideal);
+            run(SearchJob::full_address(2, 1 << 12, 4, 99));
+            run(SearchJob::new(3, 1 << 10, 4, 5).with_backend(BackendHint::Circuit));
+            assert!(WORKER_SCRATCH.with(|cell| cell.borrow().capacity()) >= 1 << 12);
+            assert_eq!(im_held(), 0, "ideal jobs hold the real plane alone");
+            let dephasing = SearchJob::new(4, 1 << 9, 4, 42)
+                .with_trials(4)
+                .with_noise(NoiseSpec {
+                    depolarizing: 0.0,
+                    dephasing: 0.2,
+                    oracle_fault: 0.0,
+                });
+            run(dephasing);
+            assert!(im_held() > 0, "a phase kick materialises the plane");
+            // What the dephasing job left in the plane does not reach a
+            // later ideal job: it equals the same job on a fresh thread.
+            let elsewhere = std::thread::spawn(move || run(ideal))
+                .join()
+                .expect("reference thread");
+            assert_eq!(run(ideal), elsewhere);
+            assert_eq!(elsewhere, first);
         })
         .join()
         .expect("scratch thread");

@@ -22,7 +22,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Largest database the full state-vector simulator will materialise
-/// (`2^22` amplitudes ≈ 64 MiB across the two planes).
+/// (`2^22` amplitudes ≈ 32 MiB while the state is real and holds one plane;
+/// 64 MiB once dephasing makes it complex).
 pub const MAX_STATEVECTOR_N: u64 = 1 << 22;
 
 /// Largest register the circuit path will simulate.

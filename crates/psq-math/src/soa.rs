@@ -8,10 +8,12 @@
 //! imaginary planes never mix: each plane evolves under the same scalar
 //! recurrence independently. Storing the planes separately ([`SoaVec`])
 //! turns every hot kernel into a straight-line sweep over a `&[f64]` slice
-//! that the compiler can vectorise, halves the memory traffic whenever the
-//! state is known to be real (the partial-search dynamics keep it real from
-//! start to finish), and lets one plane be skipped entirely instead of
-//! dragging zero imaginary parts through every pass.
+//! that the compiler can vectorise. Realness is a property of the storage:
+//! a vector whose imaginary parts are all zero holds no imaginary plane at
+//! all (the partial-search dynamics keep it so from start to finish), so a
+//! real state needs 8 bytes per amplitude instead of 16 and every kernel
+//! touches half the memory. Operations that can leave the real subspace
+//! materialise the plane first ([`SoaVec::fill_im`]).
 //!
 //! Two kernel families live here:
 //!
@@ -32,27 +34,33 @@ use crate::complex::Complex64;
 
 /// Separate real/imaginary amplitude planes of one quantum state.
 ///
-/// The planes always have equal length. [`Complex64`] remains the public
-/// scalar type — [`SoaVec::get`]/[`SoaVec::set`] gather and scatter across
-/// the planes — but bulk kernels operate on each plane directly.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// `im` is either empty — every imaginary part is zero, the vector is
+/// *real* — or exactly as long as `re`. Readers treat a missing plane as
+/// zeros; [`SoaVec::fill_im`] materialises it before a write that can make
+/// the vector complex, and clearing `im` (which keeps its allocation for
+/// reuse) returns a vector known to be real to one plane. [`Complex64`]
+/// remains the public scalar type — [`SoaVec::get`]/[`SoaVec::set`] gather
+/// and scatter across the planes — but bulk kernels operate on each plane
+/// directly.
+#[derive(Clone, Debug, Default)]
 pub struct SoaVec {
     /// Real parts.
     pub re: Vec<f64>,
-    /// Imaginary parts.
+    /// Imaginary parts; empty while they are all zero.
     pub im: Vec<f64>,
 }
 
 impl SoaVec {
-    /// A zero state of dimension `n`.
+    /// A zero state of dimension `n` (real: no imaginary plane).
     pub fn zeros(n: usize) -> Self {
         Self {
             re: vec![0.0; n],
-            im: vec![0.0; n],
+            im: Vec::new(),
         }
     }
 
-    /// Builds the planes from an array-of-structs amplitude slice.
+    /// Builds both planes from an array-of-structs amplitude slice (the
+    /// imaginary plane is kept even when every imaginary part is zero).
     pub fn from_complex(amps: &[Complex64]) -> Self {
         Self {
             re: amps.iter().map(|z| z.re).collect(),
@@ -63,11 +71,7 @@ impl SoaVec {
     /// Materialises the array-of-structs view (allocates; for interop and
     /// tests, not hot paths).
     pub fn to_complex(&self) -> Vec<Complex64> {
-        self.re
-            .iter()
-            .zip(self.im.iter())
-            .map(|(&re, &im)| Complex64::new(re, im))
-            .collect()
+        (0..self.len()).map(|i| self.get(i)).collect()
     }
 
     /// Dimension.
@@ -82,32 +86,74 @@ impl SoaVec {
         self.re.is_empty()
     }
 
+    /// Whether the vector holds no imaginary plane (every imaginary part is
+    /// zero).
+    #[inline]
+    pub fn is_real(&self) -> bool {
+        self.im.is_empty()
+    }
+
+    /// Materialises the imaginary plane as zeros up to [`SoaVec::len`],
+    /// reusing the plane's spare capacity; a no-op when it is already there.
+    pub fn fill_im(&mut self) {
+        if self.im.is_empty() {
+            self.im.resize(self.re.len(), 0.0);
+        }
+    }
+
     /// The amplitude at `i`, gathered from both planes.
     #[inline]
     pub fn get(&self, i: usize) -> Complex64 {
-        Complex64::new(self.re[i], self.im[i])
+        let im = if self.is_real() { 0.0 } else { self.im[i] };
+        Complex64::new(self.re[i], im)
     }
 
-    /// Scatters one amplitude across both planes.
+    /// Scatters one amplitude across both planes, materialising the
+    /// imaginary plane first if `z` has a nonzero imaginary part.
     #[inline]
     pub fn set(&mut self, i: usize, z: Complex64) {
+        if z.im != 0.0 {
+            self.fill_im();
+        }
         self.re[i] = z.re;
-        self.im[i] = z.im;
+        if !self.is_real() {
+            self.im[i] = z.im;
+        }
     }
 
     /// Squared modulus of the amplitude at `i`.
     #[inline]
     pub fn norm_sqr_at(&self, i: usize) -> f64 {
-        self.re[i] * self.re[i] + self.im[i] * self.im[i]
+        if self.is_real() {
+            self.re[i] * self.re[i]
+        } else {
+            self.re[i] * self.re[i] + self.im[i] * self.im[i]
+        }
     }
 
     /// Overwrites both planes with copies of the given slices, reusing the
-    /// existing allocations (the scratch-friendly clone).
+    /// existing allocations (the scratch-friendly clone). An empty `im`
+    /// reads as zeros: the copy is real.
     pub fn copy_from_planes(&mut self, re: &[f64], im: &[f64]) {
+        debug_assert!(im.is_empty() || im.len() == re.len());
         self.re.clear();
         self.re.extend_from_slice(re);
         self.im.clear();
         self.im.extend_from_slice(im);
+    }
+}
+
+impl PartialEq for SoaVec {
+    /// Amplitude equality: a missing imaginary plane equals one of zeros.
+    fn eq(&self, other: &Self) -> bool {
+        let zero_plane = |plane: &[f64]| plane.iter().all(|&x| x == 0.0);
+        self.re == other.re
+            && match (self.is_real(), other.is_real()) {
+                (true, true) => true,
+                (false, false) => self.im == other.im,
+                (true, false) => zero_plane(&other.im),
+                (false, true) => zero_plane(&self.im),
+            }
     }
 }
 
@@ -176,13 +222,16 @@ pub fn negate(plane: &mut [f64]) {
     }
 }
 
-/// The complex inner product `⟨u|v⟩ = Σ conj(u_i)·v_i` over plane pairs.
+/// The complex inner product `⟨u|v⟩ = Σ conj(u_i)·v_i` over plane pairs;
+/// an empty imaginary plane reads as zeros.
 pub fn inner_product(u_re: &[f64], u_im: &[f64], v_re: &[f64], v_im: &[f64]) -> Complex64 {
+    let at = |plane: &[f64], i: usize| if plane.is_empty() { 0.0 } else { plane[i] };
     let mut re = 0.0f64;
     let mut im = 0.0f64;
     for i in 0..u_re.len() {
-        re += u_re[i] * v_re[i] + u_im[i] * v_im[i];
-        im += u_re[i] * v_im[i] - u_im[i] * v_re[i];
+        let (ui, vi) = (at(u_im, i), at(v_im, i));
+        re += u_re[i] * v_re[i] + ui * vi;
+        im += u_re[i] * vi - ui * v_re[i];
     }
     Complex64::new(re, im)
 }
@@ -365,6 +414,55 @@ mod tests {
         let mut copy = SoaVec::zeros(1);
         copy.copy_from_planes(&soa.re, &soa.im);
         assert_eq!(copy, soa);
+    }
+
+    #[test]
+    fn a_real_vector_holds_no_imaginary_plane_until_filled() {
+        let mut soa = SoaVec::zeros(6);
+        assert!(soa.is_real());
+        assert_eq!(soa.im.capacity(), 0);
+        // Real writes keep it real; a nonzero imaginary part fills the plane.
+        soa.set(1, Complex64::from_real(0.5));
+        assert_eq!(soa.im.capacity(), 0);
+        soa.set(4, Complex64::new(0.25, -1.0));
+        assert_eq!(soa.im, vec![0.0, 0.0, 0.0, 0.0, -1.0, 0.0]);
+        // Filling an already-present plane changes nothing.
+        soa.fill_im();
+        assert_eq!(soa.get(4), Complex64::new(0.25, -1.0));
+        let mut real = SoaVec::zeros(3);
+        real.fill_im();
+        assert!(!real.is_real());
+        assert_eq!(real.im, vec![0.0; 3]);
+    }
+
+    #[test]
+    fn readers_treat_a_missing_plane_as_zeros() {
+        let real = SoaVec {
+            re: vec![0.5, -1.5, 2.0],
+            im: Vec::new(),
+        };
+        let explicit = SoaVec::from_complex(&[
+            Complex64::from_real(0.5),
+            Complex64::from_real(-1.5),
+            Complex64::from_real(2.0),
+        ]);
+        assert_eq!(real.get(1), Complex64::new(-1.5, 0.0));
+        assert_eq!(real.norm_sqr_at(1), 2.25);
+        assert_eq!(real.to_complex(), explicit.to_complex());
+        assert_eq!(real, explicit);
+        assert_eq!(explicit, real);
+        let mut complex = explicit.clone();
+        complex.im[2] = 1e-300;
+        assert_ne!(real, complex);
+        assert_ne!(complex, real);
+        // Copying a missing plane keeps it missing, in a reused buffer.
+        let mut copy = SoaVec::from_complex(&[Complex64::new(1.0, 1.0); 4]);
+        copy.copy_from_planes(&real.re, &real.im);
+        assert!(copy.is_real());
+        assert!(copy.im.capacity() >= 4, "the allocation is kept");
+        assert_eq!(copy, explicit);
+        let inner = inner_product(&real.re, &real.im, &explicit.re, &explicit.im);
+        assert_eq!(inner, Complex64::new(0.25 + 2.25 + 4.0, 0.0));
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! to the untouched ideal runner ([`PartialSearch::run_statevector_in`]),
 //! so `p = 0` is **bit-identical** to a run that never heard of noise.
 //! Oracle-only faults and depolarizing collapses are real-preserving, so
-//! the known-real plane skipping stays on; a dephasing spec degrades
-//! gracefully to two-plane sweeps from the first kick.
+//! the state keeps its single real plane; a dephasing spec materialises the
+//! imaginary plane at the first kick and degrades gracefully to two-plane
+//! sweeps from there.
 //!
 //! Full Grover search under the same fault model is provided for
 //! comparison: partial search is *more* robust per query simply because it

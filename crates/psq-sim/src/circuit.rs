@@ -17,8 +17,9 @@
 //!
 //! The `b = 0` branch is held as structure-of-arrays planes (the same layout
 //! as [`StateVector`]); its controlled inversion runs as one fused sweep per
-//! plane, and the imaginary plane is skipped entirely while the input state
-//! is known to be real (the partial-search dynamics always are).
+//! plane. The branch copies the input's layout, so while the input state is
+//! real (the partial-search dynamics always are) the branch holds no
+//! imaginary plane either.
 //!
 //! Everything here requires power-of-two dimensions (it is a circuit);
 //! the kernels in [`StateVector`] have no such restriction.
@@ -78,11 +79,9 @@ pub fn block_iteration_via_circuit(
 #[derive(Clone, Debug)]
 pub struct Step3Circuit {
     /// The `b = 0` branch of the address register (target slot empty after
-    /// M), as structure-of-arrays planes.
+    /// M), as structure-of-arrays planes; real, on one plane, when the input
+    /// state is.
     branch_b0: SoaVec,
-    /// Whether the branch's imaginary plane is identically zero (inherited
-    /// from the input state; lets the probability reads skip the plane).
-    branch_real_only: bool,
     /// The `b = 1` branch: only the target address is populated.
     branch_b1_target: Complex64,
     /// The target address.
@@ -113,23 +112,21 @@ impl Step3Circuit {
         let target = db.target() as usize;
         // Operation M: the target component moves to the b = 1 branch.
         let branch_b1_target = state.amplitude(target);
-        let branch_real_only = state.is_real_only();
         let mut branch_b0 = scratch.take_copy_of(state);
-        branch_b0.re[target] = 0.0;
-        branch_b0.im[target] = 0.0;
         // Controlled on b = 0: inversion about the average over all N slots
         // (one of which — the target — is now empty), one fused sweep per
-        // active plane.
+        // plane the branch holds.
         let n = branch_b0.len() as f64;
-        let two_mean_re = 2.0 * soa::sum(&branch_b0.re) / n;
-        soa::invert_resum(&mut branch_b0.re, two_mean_re);
-        if !branch_real_only {
-            let two_mean_im = 2.0 * soa::sum(&branch_b0.im) / n;
-            soa::invert_resum(&mut branch_b0.im, two_mean_im);
+        for plane in [&mut branch_b0.re, &mut branch_b0.im] {
+            if plane.is_empty() {
+                continue;
+            }
+            plane[target] = 0.0;
+            let two_mean = 2.0 * soa::sum(plane) / n;
+            soa::invert_resum(plane, two_mean);
         }
         Self {
             branch_b0,
-            branch_real_only,
             branch_b1_target,
             target,
         }
@@ -138,11 +135,7 @@ impl Step3Circuit {
     /// Probability that measuring the address register yields `x` (summing
     /// over the unobserved ancilla).
     pub fn address_probability(&self, x: usize) -> f64 {
-        let mut p = if self.branch_real_only {
-            self.branch_b0.re[x] * self.branch_b0.re[x]
-        } else {
-            self.branch_b0.norm_sqr_at(x)
-        };
+        let mut p = self.branch_b0.norm_sqr_at(x);
         if x == self.target {
             p += self.branch_b1_target.norm_sqr();
         }

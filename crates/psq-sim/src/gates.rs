@@ -13,8 +13,8 @@
 //! [`QubitRegister::hadamard_low_qubits`] route through the in-place radix-2
 //! fast Walsh–Hadamard transform of [`psq_math::soa`], one pass with the
 //! `1/√N` normalisation folded into its final butterfly level, applied per
-//! amplitude plane (and to the real plane only while the state is known to
-//! be real).  The per-gate path ([`QubitRegister::apply_single_qubit`]) is
+//! amplitude plane (the real plane alone while the state is real and holds
+//! no imaginary plane).  The per-gate path ([`QubitRegister::apply_single_qubit`]) is
 //! kept for arbitrary 2×2 unitaries and as the reference the equivalence
 //! tests pin the transform against.
 //!
@@ -100,10 +100,11 @@ impl QubitRegister {
 
     /// Applies a single-qubit gate (a 2×2 unitary) to qubit `q`.
     ///
-    /// This is the general per-gate reference path: butterflies over both
-    /// amplitude planes, with the imaginary plane skipped when the state is
-    /// known real and the gate is real.  Hadamard walls go through the fast
-    /// Walsh–Hadamard transform instead (see the module docs).
+    /// This is the general per-gate reference path: a real gate runs scalar
+    /// butterflies over each plane the state holds, a complex gate
+    /// materialises the imaginary plane and mixes the two.  Hadamard walls
+    /// go through the fast Walsh–Hadamard transform instead (see the module
+    /// docs).
     ///
     /// # Panics
     /// Panics if the matrix is not 2×2 or not unitary, or `q` is out of
@@ -117,18 +118,15 @@ impl QubitRegister {
         let stride = 1usize << (self.qubits - 1 - q);
         let g = [gate[(0, 0)], gate[(0, 1)], gate[(1, 0)], gate[(1, 1)]];
         let gate_is_real = g.iter().all(|z| z.im == 0.0);
-        let real_only = self.state.is_real_only();
-        let (re, im) = self.state.planes_mut_raw();
         if gate_is_real {
-            // Real gate: the planes never mix; sweep each active plane with
-            // scalar butterflies.
-            real_butterflies(re, stride, g[0].re, g[1].re, g[2].re, g[3].re);
-            if !real_only {
-                real_butterflies(im, stride, g[0].re, g[1].re, g[2].re, g[3].re);
-            }
+            // Real gate: the planes never mix; sweep each plane with scalar
+            // butterflies.
+            self.state.plane_sweep(|plane, _| {
+                real_butterflies(plane, stride, g[0].re, g[1].re, g[2].re, g[3].re);
+            });
         } else {
+            let (re, im) = self.state.planes_mut();
             complex_butterflies(re, im, stride, &g);
-            self.state.set_real_only(false);
         }
     }
 
@@ -140,14 +138,10 @@ impl QubitRegister {
 
     /// Applies Hadamard to every qubit (the `H^{⊗n}` wall used to prepare and
     /// unprepare the uniform superposition) as one in-place fast
-    /// Walsh–Hadamard transform per active plane, normalisation folded in.
+    /// Walsh–Hadamard transform per plane, normalisation folded in.
     pub fn hadamard_all(&mut self) {
-        let real_only = self.state.is_real_only();
-        let (re, im) = self.state.planes_mut_raw();
-        soa::fwht_normalized(re);
-        if !real_only {
-            soa::fwht_normalized(im);
-        }
+        self.state
+            .plane_sweep(|plane, _| soa::fwht_normalized(plane));
     }
 
     /// Multiplies the amplitude of a single basis state by a phase.
@@ -164,12 +158,8 @@ impl QubitRegister {
     /// except all-zeros), used inside the circuit form of the diffusion
     /// operator.
     pub fn reflect_about_zero(&mut self) {
-        let real_only = self.state.is_real_only();
-        let (re, im) = self.state.planes_mut_raw();
-        soa::negate(&mut re[1..]);
-        if !real_only {
-            soa::negate(&mut im[1..]);
-        }
+        self.state
+            .plane_sweep(|plane, _| soa::negate(&mut plane[1..]));
     }
 
     /// The Grover diffusion operator built as a circuit:
@@ -186,7 +176,7 @@ impl QubitRegister {
     /// Applies Hadamard to each of the `low` least-significant address
     /// qubits — the "offset" register `z` of the partial-search problem,
     /// leaving the "block" register `y` (the first `k` qubits) untouched.
-    /// One blocked fast Walsh–Hadamard transform per active plane.
+    /// One blocked fast Walsh–Hadamard transform per plane.
     pub fn hadamard_low_qubits(&mut self, low: u32) {
         assert!(
             low <= self.qubits,
@@ -194,12 +184,8 @@ impl QubitRegister {
             self.qubits
         );
         let block = 1usize << low;
-        let real_only = self.state.is_real_only();
-        let (re, im) = self.state.planes_mut_raw();
-        soa::fwht_blocks_normalized(re, block);
-        if !real_only {
-            soa::fwht_blocks_normalized(im, block);
-        }
+        self.state
+            .plane_sweep(|plane, _| soa::fwht_blocks_normalized(plane, block));
     }
 
     /// The reflection `I_{[K]} ⊗ (2|0…0⟩⟨0…0| − I)` acting on the `low`
@@ -212,16 +198,11 @@ impl QubitRegister {
             self.qubits
         );
         let block = 1usize << low;
-        let real_only = self.state.is_real_only();
-        let (re, im) = self.state.planes_mut_raw();
-        for chunk in re.chunks_exact_mut(block) {
-            soa::negate(&mut chunk[1..]);
-        }
-        if !real_only {
-            for chunk in im.chunks_exact_mut(block) {
+        self.state.plane_sweep(|plane, _| {
+            for chunk in plane.chunks_exact_mut(block) {
                 soa::negate(&mut chunk[1..]);
             }
-        }
+        });
     }
 
     /// The per-block diffusion `I_{[K]} ⊗ I_{0,[N/K]}` of Section 2.2 built

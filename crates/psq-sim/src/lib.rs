@@ -34,14 +34,14 @@
 //!
 //! # Amplitude layout and fused sweeps
 //!
-//! Amplitudes are stored **structure-of-arrays**: two separate `f64` planes
+//! Amplitudes are stored **structure-of-arrays**: separate `f64` planes
 //! (real and imaginary, [`psq_math::soa::SoaVec`]) instead of one
 //! `Vec<Complex64>`. Every operator the partial-search algorithm uses has
 //! real coefficients, so the planes evolve independently, each kernel is a
-//! straight-line vectorizable sweep over a `&[f64]`, and a conservative
-//! known-real flag lets the imaginary plane be skipped entirely (the
-//! partial-search dynamics never leave the real subspace, halving memory
-//! traffic). On top of the layout, iteration runs are **fused**: each
+//! straight-line vectorizable sweep over a `&[f64]`, and a real state holds
+//! no imaginary plane at all (the partial-search dynamics never leave the
+//! real subspace, so a dense state needs 8 bytes per amplitude and every
+//! sweep moves half the memory). On top of the layout, iteration runs are **fused**: each
 //! Grover/per-block iteration applies the oracle flip plus the inversion
 //! about the mean in a single sweep per plane that also accumulates the
 //! (block) sums the next iteration needs —

@@ -11,17 +11,17 @@
 //!
 //! * **`oracle_fault`** — the oracle call silently does nothing (it is
 //!   still charged; the algorithm cannot tell). The rotation falls behind
-//!   schedule. Real-preserving: the known-real fast path stays on.
+//!   schedule. Real-preserving: the state keeps its single real plane.
 //! * **`depolarizing`** — a total depolarizing event: the state collapses
 //!   to a uniformly random computational basis state `|x⟩`. Averaged over
 //!   trials this is the trajectory unraveling of
-//!   `ρ → (1−p)ρ + p·I/N` per query. Basis states are real, so this too
-//!   preserves the real-only plane optimisation.
+//!   `ρ → (1−p)ρ + p·I/N` per query. Basis states are real, so a collapse
+//!   returns the state to its single real plane.
 //! * **`dephasing`** — a random-phase kick `Z_b(θ)` on a uniformly random
 //!   address bit `b`: every amplitude whose address has bit `b` set is
 //!   multiplied by `e^{iθ}`, `θ ~ U[0, 2π)`. This is the one channel that
-//!   leaves the real subspace, so it **clears** the known-real flag and the
-//!   kernels degrade gracefully to two-plane sweeps from that point on.
+//!   leaves the real subspace, so it **materialises** the imaginary plane and
+//!   the kernels degrade gracefully to two-plane sweeps from that point on.
 //!
 //! # Determinism contract
 //!
@@ -185,9 +185,10 @@ impl QueryNoise {
 /// decision is the caller's to honour at oracle-call time).
 ///
 /// Events are deterministic elementwise sweeps: a depolarizing collapse
-/// rewrites the planes to the basis state (and **keeps** the known-real
-/// flag on), a dephasing kick rotates every amplitude whose address has the
-/// drawn bit set (and clears the flag, materialising the imaginary plane).
+/// rewrites the planes to the basis state (which is real, so the imaginary
+/// plane is emptied, keeping its allocation), a dephasing kick rotates every
+/// amplitude whose address has the drawn bit set (materialising the
+/// imaginary plane first).
 pub fn apply_channels(psi: &mut StateVector, noise: &QueryNoise) {
     if let Some(target) = noise.depolarize {
         collapse_to_basis(psi, target as usize);
@@ -197,27 +198,19 @@ pub fn apply_channels(psi: &mut StateVector, noise: &QueryNoise) {
     }
 }
 
-/// Collapse to `|index⟩` in place (real-preserving).
+/// Collapse to `|index⟩` in place; the state is real afterwards.
 fn collapse_to_basis(psi: &mut StateVector, index: usize) {
     assert!(index < psi.len(), "collapse target out of range");
-    let was_real = psi.is_real_only();
-    let (re, im) = psi.planes_mut_raw();
-    re.fill(0.0);
-    re[index] = 1.0;
-    if !was_real {
-        im.fill(0.0);
-    }
-    psi.set_real_only(true);
+    psi.overwrite_real(|re| {
+        re.fill(0.0);
+        re[index] = 1.0;
+    });
 }
 
 /// Multiplies every amplitude whose address has `bit` set by `e^{iθ}`.
 fn phase_kick(psi: &mut StateVector, bit: u32, theta: f64) {
     let (cos, sin) = (theta.cos(), theta.sin());
-    let was_real = psi.is_real_only();
-    let (re, im) = psi.planes_mut_raw();
-    if was_real {
-        im.fill(0.0);
-    }
+    let (re, im) = psi.planes_mut();
     for x in 0..re.len() {
         if (x >> bit) & 1 == 1 {
             let (r, i) = (re[x], im[x]);
@@ -225,7 +218,6 @@ fn phase_kick(psi: &mut StateVector, bit: u32, theta: f64) {
             im[x] = r * sin + i * cos;
         }
     }
-    psi.set_real_only(false);
 }
 
 /// A self-contained noise source: a [`NoiseSpec`] plus an owned seeded RNG,

@@ -21,7 +21,6 @@
 
 use crate::oracle::{Database, Partition};
 use crate::statevector::StateVector;
-use psq_math::complex::Complex64;
 
 /// Exact simulator for block-symmetric states (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -299,8 +298,7 @@ impl ReducedState {
     /// # Panics
     /// Panics if `n`/`k` are not integral or do not match the partition.
     pub fn to_state_vector(&self, db: &Database, partition: &Partition) -> StateVector {
-        let mut out =
-            StateVector::from_amplitudes(vec![Complex64::ZERO; partition.size() as usize]);
+        let mut out = StateVector::basis(partition.size() as usize, 0);
         self.write_state_vector_into(db, partition, &mut out);
         out
     }
@@ -333,14 +331,13 @@ impl ReducedState {
         let target = db.target() as usize;
         let target_block = partition.block_of(db.target());
         let range = partition.block_range(target_block);
-        // The reduced dynamics are real; write the planes directly and keep
-        // the state's known-real fast path.
-        let (re, im) = out.planes_mut_raw();
-        re.fill(self.amp_nontarget);
-        re[range.start as usize..range.end as usize].fill(self.amp_target_block);
-        re[target] = self.amp_target;
-        im.fill(0.0);
-        out.set_real_only(true);
+        // The reduced dynamics are real: write the real plane directly and
+        // empty the imaginary one, keeping its allocation.
+        out.overwrite_real(|re| {
+            re.fill(self.amp_nontarget);
+            re[range.start as usize..range.end as usize].fill(self.amp_target_block);
+            re[target] = self.amp_target;
+        });
     }
 
     /// Extracts the reduced description from a full state vector, verifying

@@ -10,6 +10,10 @@
 //! structure-of-arrays planes, [`psq_math::soa::SoaVec`]) is *taken* for the
 //! duration of one application and *recycled* afterwards, so a run of any
 //! length performs O(1) allocations instead of O(iterations × gates).
+//!
+//! The imaginary plane is allocated only once a state held in the buffer
+//! becomes complex: a scratch that only ever held real states — every ideal
+//! partial search — holds one plane of 8 bytes per amplitude.
 
 use crate::statevector::StateVector;
 use psq_math::soa::SoaVec;
@@ -30,19 +34,22 @@ impl AmplitudeScratch {
         Self::default()
     }
 
-    /// A scratch pre-sized for dimension-`n` states.
+    /// A scratch pre-sized for real dimension-`n` states (the real plane
+    /// only; the imaginary one grows if a complex state is copied in).
     pub fn with_capacity(n: usize) -> Self {
         Self {
             buffer: SoaVec {
                 re: Vec::with_capacity(n),
-                im: Vec::with_capacity(n),
+                im: Vec::new(),
             },
         }
     }
 
     /// Takes the buffer, filled with a copy of `state`'s planes (the
     /// swap-out half of the double buffer). The returned planes reuse the
-    /// recycled allocations when they are large enough.
+    /// recycled allocations when they are large enough; the copy of a real
+    /// state is real (a missing imaginary plane is copied as missing, which
+    /// reads as zeros).
     pub fn take_copy_of(&mut self, state: &StateVector) -> SoaVec {
         let mut buffer = std::mem::take(&mut self.buffer);
         let (re, im) = state.planes();
@@ -69,6 +76,12 @@ impl AmplitudeScratch {
     /// Capacity of the currently held buffer, in amplitudes.
     pub fn capacity(&self) -> usize {
         self.buffer.re.capacity()
+    }
+
+    /// Capacity of the held buffer's imaginary plane, in amplitudes: 0 while
+    /// every state the scratch has held stayed real.
+    pub fn im_capacity(&self) -> usize {
+        self.buffer.im.capacity()
     }
 }
 

@@ -1,6 +1,6 @@
 //! Full complex state-vector simulation on structure-of-arrays planes.
 //!
-//! A [`StateVector`] holds one amplitude per database address, stored as two
+//! A [`StateVector`] holds one amplitude per database address, stored as
 //! separate `f64` planes (real and imaginary — [`psq_math::soa::SoaVec`]),
 //! and applies the operators the paper uses as streaming kernels:
 //!
@@ -12,9 +12,11 @@
 //!   marking operation `M`).
 //!
 //! Every one of those operators has **real** coefficients, so the two planes
-//! evolve independently; when the state is known to be real (tracked by a
-//! conservative `real_only` flag — the partial-search dynamics never leave
-//! the real subspace) the imaginary plane is skipped entirely. On top of the
+//! evolve independently, and a real state — the partial-search dynamics
+//! never leave the real subspace — holds no imaginary plane at all: it needs
+//! 8 bytes per amplitude, and every kernel sweeps the real plane alone. The
+//! plane is materialised (as zeros) only by operations that can make the
+//! state complex, and dropped again by writes that make it real. On top of the
 //! layout, the bulk runners [`StateVector::grover_iterations`] and
 //! [`StateVector::block_grover_iterations`] **fuse** each iteration's oracle
 //! flip and inversion about the mean into a single sweep per plane: the
@@ -47,22 +49,14 @@ use psq_parallel::{par_chunks_fixed, par_map_chunks_fixed, par_zip_chunks_fixed,
 const PARALLEL_THRESHOLD: usize = 2 * FIXED_CHUNK;
 
 /// A pure quantum state over the database address register.
-#[derive(Clone, Debug)]
+///
+/// Equality compares amplitudes: a missing imaginary plane equals a plane of
+/// zeros.
+#[derive(Clone, Debug, PartialEq)]
 pub struct StateVector {
+    /// The amplitude planes; the imaginary one is empty while the state is
+    /// real.
     planes: SoaVec,
-    /// `true` only when the imaginary plane is **known** to be identically
-    /// zero (and it then really is all zeros in memory); `false` means
-    /// unknown. Real-coefficient kernels preserve the flag and skip the
-    /// imaginary plane when it is set; anything that can introduce an
-    /// imaginary component clears it.
-    real_only: bool,
-}
-
-impl PartialEq for StateVector {
-    fn eq(&self, other: &Self) -> bool {
-        // The flag is a conservative optimisation hint, not state.
-        self.planes == other.planes
-    }
 }
 
 impl StateVector {
@@ -73,9 +67,8 @@ impl StateVector {
         Self {
             planes: SoaVec {
                 re: vec![amp; n],
-                im: vec![0.0; n],
+                im: Vec::new(),
             },
-            real_only: true,
         }
     }
 
@@ -86,7 +79,9 @@ impl StateVector {
     /// varying dimension in sequence — the recursive full-address runner
     /// builds one state per level, each `K` times smaller than the last, so
     /// after the top level every take fits the recycled allocation and the
-    /// whole descent performs O(1) allocations. Pair with
+    /// whole descent performs O(1) allocations. The state is real, so it
+    /// sizes only the real plane; an imaginary plane a previous state left
+    /// in the scratch is emptied, keeping its allocation. Pair with
     /// [`StateVector::recycle_into`] when the state is no longer needed.
     ///
     /// [`AmplitudeScratch`]: crate::scratch::AmplitudeScratch
@@ -97,11 +92,7 @@ impl StateVector {
         planes.re.clear();
         planes.re.resize(n, amp);
         planes.im.clear();
-        planes.im.resize(n, 0.0);
-        Self {
-            planes,
-            real_only: true,
-        }
+        Self { planes }
     }
 
     /// Hands this state's plane buffers back to a scratch for reuse (the
@@ -118,24 +109,27 @@ impl StateVector {
         );
         let mut planes = SoaVec::zeros(n);
         planes.re[index] = 1.0;
-        Self {
-            planes,
-            real_only: true,
-        }
+        Self { planes }
     }
 
     /// Builds a state from explicit amplitudes (normalised by the caller).
+    ///
+    /// The state holds both planes even when every imaginary part is zero:
+    /// the explicit constructors keep the layout they are given, while the
+    /// simulators' own ([`StateVector::uniform`], [`StateVector::uniform_in`],
+    /// [`StateVector::basis`]) start real, on one plane.
     pub fn from_amplitudes(amps: Vec<Complex64>) -> Self {
         assert!(
             !amps.is_empty(),
             "state vector needs at least one basis state"
         );
-        let planes = SoaVec::from_complex(&amps);
-        let real_only = planes.im.iter().all(|&x| x == 0.0);
-        Self { planes, real_only }
+        Self {
+            planes: SoaVec::from_complex(&amps),
+        }
     }
 
-    /// Builds a state from real amplitudes.
+    /// Builds a state from real amplitudes, with an explicit all-zero
+    /// imaginary plane (the layout [`StateVector::from_amplitudes`] gives).
     pub fn from_real_amplitudes(reals: &[f64]) -> Self {
         assert!(
             !reals.is_empty(),
@@ -146,7 +140,6 @@ impl StateVector {
                 re: reals.to_vec(),
                 im: vec![0.0; reals.len()],
             },
-            real_only: true,
         }
     }
 
@@ -162,41 +155,38 @@ impl StateVector {
         false
     }
 
-    /// The separate real and imaginary planes (the storage layout).
+    /// The separate real and imaginary planes (the storage layout). The
+    /// imaginary slice is empty while the state is real: read it as zeros.
     #[inline]
     pub fn planes(&self) -> (&[f64], &[f64]) {
         (&self.planes.re, &self.planes.im)
     }
 
-    /// Mutable access to both planes, for in-place kernels.
-    ///
-    /// Clears the known-real flag: the caller may write anything. Crate
-    /// internals that provably preserve realness use the raw accessors and
-    /// manage the flag themselves.
+    /// Mutable access to both planes, for in-place kernels. The caller may
+    /// write anything, so the imaginary plane is materialised (as zeros)
+    /// first and the state stays complex afterwards.
     #[inline]
     pub fn planes_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        self.real_only = false;
+        self.planes.fill_im();
         (&mut self.planes.re, &mut self.planes.im)
     }
 
-    /// Flag-preserving plane access for kernels in this crate that manage
-    /// [`StateVector::real_only`] themselves.
+    /// Overwrites the state with the real amplitudes `write` puts in the
+    /// real plane: the imaginary plane is emptied, keeping its allocation,
+    /// so the state is real afterwards (the writers in this crate that
+    /// return a state to the real subspace).
     #[inline]
-    pub(crate) fn planes_mut_raw(&mut self) -> (&mut [f64], &mut [f64]) {
-        (&mut self.planes.re, &mut self.planes.im)
+    pub(crate) fn overwrite_real(&mut self, write: impl FnOnce(&mut [f64])) {
+        write(&mut self.planes.re);
+        self.planes.im.clear();
     }
 
-    /// Whether the imaginary plane is known to be identically zero (the
-    /// partial-search dynamics keep it so; kernels then touch half the
-    /// memory).
+    /// Whether the state holds no imaginary plane: every imaginary part is
+    /// zero (the partial-search dynamics keep it so), the state needs 8
+    /// bytes per amplitude, and kernels touch half the memory.
     #[inline]
     pub fn is_real_only(&self) -> bool {
-        self.real_only
-    }
-
-    #[inline]
-    pub(crate) fn set_real_only(&mut self, flag: bool) {
-        self.real_only = flag;
+        self.planes.is_real()
     }
 
     /// Materialises the array-of-structs amplitude vector (allocates; for
@@ -207,13 +197,11 @@ impl StateVector {
 
     /// Resets the state to the uniform superposition in place, reusing the
     /// existing allocations (the steady-state reset between engine trials).
+    /// The state is real afterwards; an imaginary plane is emptied, keeping
+    /// its allocation.
     pub fn fill_uniform(&mut self) {
         let amp = 1.0 / (self.len() as f64).sqrt();
-        self.planes.re.fill(amp);
-        if !self.real_only {
-            self.planes.im.fill(0.0);
-            self.real_only = true;
-        }
+        self.overwrite_real(|re| re.fill(amp));
     }
 
     /// The amplitude of basis state `i`.
@@ -222,19 +210,17 @@ impl StateVector {
         self.planes.get(i)
     }
 
-    /// Overwrites the amplitude of basis state `i`.
+    /// Overwrites the amplitude of basis state `i` (a nonzero imaginary
+    /// part materialises the imaginary plane).
     #[inline]
     pub fn set_amplitude(&mut self, i: usize, z: Complex64) {
         self.planes.set(i, z);
-        if z.im != 0.0 {
-            self.real_only = false;
-        }
     }
 
     /// Squared norm (total probability).
     pub fn norm_sqr(&self) -> f64 {
         let re = self.fold_plane_sum(&self.planes.re, soa::sum_sqr);
-        if self.real_only {
+        if self.is_real_only() {
             re
         } else {
             re + self.fold_plane_sum(&self.planes.im, soa::sum_sqr)
@@ -251,27 +237,20 @@ impl StateVector {
         let norm = self.norm_sqr().sqrt();
         assert!(norm > 1e-300, "cannot normalise the zero state");
         let inv = 1.0 / norm;
-        soa::scale(&mut self.planes.re, inv);
-        if !self.real_only {
-            soa::scale(&mut self.planes.im, inv);
-        }
+        self.plane_sweep(|plane, _| soa::scale(plane, inv));
         norm
     }
 
     /// Measurement probability of basis state `i`.
     #[inline]
     pub fn probability(&self, i: usize) -> f64 {
-        if self.real_only {
-            self.planes.re[i] * self.planes.re[i]
-        } else {
-            self.planes.norm_sqr_at(i)
-        }
+        self.planes.norm_sqr_at(i)
     }
 
     /// Probability that a measurement lands in the half-open address range.
     pub fn probability_of_range(&self, range: std::ops::Range<usize>) -> f64 {
         let re = soa::sum_sqr(&self.planes.re[range.clone()]);
-        if self.real_only {
+        if self.is_real_only() {
             re
         } else {
             re + soa::sum_sqr(&self.planes.im[range])
@@ -298,14 +277,9 @@ impl StateVector {
     }
 
     /// Largest imaginary component in the state (the partial-search dynamics
-    /// keep this at exactly zero on the real-only fast path; tests assert
-    /// it).
+    /// keep this at exactly zero, with no imaginary plane; tests assert it).
     pub fn max_imaginary_part(&self) -> f64 {
-        if self.real_only {
-            0.0
-        } else {
-            self.planes.im.iter().map(|x| x.abs()).fold(0.0, f64::max)
-        }
+        self.planes.im.iter().map(|x| x.abs()).fold(0.0, f64::max)
     }
 
     /// Inner product `⟨self|other⟩`.
@@ -333,8 +307,8 @@ impl StateVector {
     /// Applies `f(index, &mut amplitude)` to every amplitude, in parallel
     /// for large states (gather/scatter across the planes).
     ///
-    /// The state stays flagged as real only if every written amplitude has a
-    /// zero imaginary part.
+    /// The imaginary plane is materialised for the sweep and emptied again
+    /// (keeping its allocation) if every written amplitude is real.
     pub fn for_each_amplitude<F>(&mut self, f: F)
     where
         F: Fn(usize, &mut Complex64) + Sync,
@@ -350,6 +324,7 @@ impl StateVector {
             }
             all_real
         };
+        self.planes.fill_im();
         let stayed_real = if self.len() >= PARALLEL_THRESHOLD {
             par_zip_chunks_fixed(&mut self.planes.re, &mut self.planes.im, FIXED_CHUNK, sweep)
                 .into_iter()
@@ -357,7 +332,9 @@ impl StateVector {
         } else {
             sweep(0, &mut self.planes.re, &mut self.planes.im)
         };
-        self.real_only = self.real_only && stayed_real;
+        if stayed_real {
+            self.planes.im.clear();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -385,8 +362,7 @@ impl StateVector {
     /// lower-bound hybrid argument (where the "oracle replaced by identity"
     /// runs need controllable substitutes).
     pub fn phase_flip_unchecked(&mut self, index: usize) {
-        self.planes.re[index] = -self.planes.re[index];
-        self.planes.im[index] = -self.planes.im[index];
+        self.plane_sweep(|plane, _| plane[index] = -plane[index]);
     }
 
     /// Generalised oracle phase rotation `R_t(φ) = I + (e^{iφ} − 1)|t⟩⟨t|`,
@@ -420,7 +396,7 @@ impl StateVector {
         let overlap = self.amplitude_sum() / n.sqrt();
         let delta = (Complex64::cis(phi) - Complex64::ONE) * overlap / n.sqrt();
         if delta.im != 0.0 {
-            self.real_only = false;
+            self.planes.fill_im();
         }
         self.plane_sweep(|plane, is_re| {
             let shift = if is_re { delta.re } else { delta.im };
@@ -441,12 +417,8 @@ impl StateVector {
     /// iteration runs use the fused [`StateVector::grover_iterations`].
     pub fn invert_about_mean(&mut self) {
         let n = self.len() as f64;
-        let skip_im = self.real_only;
         let parallel = self.len() >= PARALLEL_THRESHOLD;
-        for (plane, active) in [(&mut self.planes.re, true), (&mut self.planes.im, !skip_im)] {
-            if !active {
-                continue;
-            }
+        self.plane_sweep(|plane, _| {
             let two_mean = if parallel {
                 2.0 * par_map_chunks_fixed(plane, FIXED_CHUNK, |_, c| soa::sum(c))
                     .into_iter()
@@ -460,7 +432,7 @@ impl StateVector {
             } else {
                 soa::invert_resum(plane, two_mean);
             }
-        }
+        });
     }
 
     /// The per-block diffusion `I_{[K]} ⊗ I_{0,[N/K]}`: inversion about the
@@ -474,15 +446,11 @@ impl StateVector {
             "partition size must match state dimension"
         );
         let block = partition.block_size() as usize;
-        let skip_im = self.real_only;
         let parallel = self.len() >= PARALLEL_THRESHOLD && block >= 2;
         // Chunk boundaries land on block boundaries so every block's
         // inversion sees exactly its own amplitudes.
         let chunk = FIXED_CHUNK.div_ceil(block) * block;
-        for (plane, active) in [(&mut self.planes.re, true), (&mut self.planes.im, !skip_im)] {
-            if !active {
-                continue;
-            }
+        self.plane_sweep(|plane, _| {
             if parallel {
                 par_chunks_fixed(plane, chunk, |_, c| {
                     for block_chunk in c.chunks_mut(block) {
@@ -494,7 +462,7 @@ impl StateVector {
                     soa::invert_about_average(block_chunk);
                 }
             }
-        }
+        });
     }
 
     /// Step 3 of the partial-search algorithm: the reflection about the
@@ -522,12 +490,8 @@ impl StateVector {
         db.charge_quantum_queries(1);
         let t = db.target() as usize;
         let n = self.len() as f64;
-        let skip_im = self.real_only;
         let parallel = self.len() >= PARALLEL_THRESHOLD;
-        for (plane, active) in [(&mut self.planes.re, true), (&mut self.planes.im, !skip_im)] {
-            if !active {
-                continue;
-            }
+        self.plane_sweep(|plane, _| {
             let target_amp = plane[t];
             let sum = if parallel {
                 par_map_chunks_fixed(plane, FIXED_CHUNK, |_, c| soa::sum(c))
@@ -545,7 +509,7 @@ impl StateVector {
                 soa::invert_resum(plane, two_mean);
             }
             plane[t] = target_amp;
-        }
+        });
     }
 
     /// One standard Grover iteration `A = I_0 · I_t` (Section 2.1): oracle
@@ -685,16 +649,15 @@ impl StateVector {
     // Helpers
     // ------------------------------------------------------------------
 
-    /// Runs `f` over the real plane, and over the imaginary plane too unless
-    /// the state is known to be real (the real-coefficient operators act on
-    /// the planes independently).  `f` receives whether it is on the real
-    /// plane.
-    fn plane_sweep<F>(&mut self, f: F)
+    /// Runs `f` over the real plane, and over the imaginary plane too if the
+    /// state holds one (the real-coefficient operators act on the planes
+    /// independently).  `f` receives whether it is on the real plane.
+    pub(crate) fn plane_sweep<F>(&mut self, f: F)
     where
         F: Fn(&mut [f64], bool),
     {
         f(&mut self.planes.re, true);
-        if !self.real_only {
+        if !self.planes.is_real() {
             f(&mut self.planes.im, false);
         }
     }
@@ -714,7 +677,7 @@ impl StateVector {
     /// Sum of all amplitudes (used by the diffusion kernels).
     pub fn amplitude_sum(&self) -> Complex64 {
         let re = self.fold_plane_sum(&self.planes.re, soa::sum);
-        let im = if self.real_only {
+        let im = if self.is_real_only() {
             0.0
         } else {
             self.fold_plane_sum(&self.planes.im, soa::sum)

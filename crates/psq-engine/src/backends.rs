@@ -19,13 +19,24 @@ use psq_partial::{
 use psq_sim::circuit::{block_iteration_via_circuit, grover_iteration_via_circuit, Step3Circuit};
 use psq_sim::gates::QubitRegister;
 use psq_sim::oracle::{Database, Partition};
-use psq_sim::scratch::AmplitudeScratch;
+use psq_sim::scratch::{AmplitudeScratch, PlaneStore};
+use psq_sim::statevector::PARALLEL_THRESHOLD;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A job carrying this seed panics in [`execute`], in debug builds only:
+/// the hook tests use to check that one panicking job costs exactly one
+/// error, never its batch or its server.
+#[cfg(debug_assertions)]
+pub const POISON_SEED: u64 = 0x5EED_0BAD_DEAD_BEEF;
 
 /// Executes `job` on the backend resolved in `plan`. Wall time is filled in
 /// by the executor; this function returns it as zero.
 pub fn execute(job: &SearchJob, plan: &ExecutionPlan) -> SearchResult {
+    #[cfg(debug_assertions)]
+    if job.seed == POISON_SEED {
+        panic!("the job carries the poison seed");
+    }
     let mut rng = StdRng::seed_from_u64(job.seed);
     match plan.backend {
         Backend::Reduced => run_reduced(job, plan, &mut rng),
@@ -104,15 +115,42 @@ fn finish(
 
 thread_local! {
     /// Worker-held plane buffers for the state-vector, recursive and noisy
-    /// runners: executor workers are persistent threads, so the scratch is
-    /// reused across every level, trial *and job* a worker executes —
-    /// steady-state batch serving performs O(1) allocations per worker, and
-    /// a worker's memory is its largest state so far whatever order its
-    /// jobs arrive in. Ideal states are real, so the scratch holds one
-    /// plane until a dephasing job makes a state complex. Scratch contents
-    /// never affect results (pinned by the cross-thread bit-identity tests).
+    /// runners' *small* planes (below [`PARALLEL_THRESHOLD`] amplitudes):
+    /// executor workers are persistent threads, so the scratch is reused
+    /// across every level, trial and job a worker executes, hot in that
+    /// worker's cache, and steady-state batch serving performs O(1)
+    /// allocations per worker. Larger planes come from [`LARGE_PLANES`]
+    /// instead. Ideal states are real, so a scratch holds one plane until a
+    /// dephasing job makes a state complex. Scratch contents never affect
+    /// results (pinned by the cross-thread bit-identity tests).
     static WORKER_SCRATCH: std::cell::RefCell<AmplitudeScratch> =
         std::cell::RefCell::new(AmplitudeScratch::new());
+}
+
+/// The process-wide store of large plane buffers (at least
+/// [`PARALLEL_THRESHOLD`] amplitudes), shared by every engine and thread.
+/// A job borrows one for its whole run, so memory for large planes is
+/// bounded by the large jobs running at once rather than by workers times
+/// the largest plane each ever ran. It outlives engines on purpose: the
+/// allocator keeps freed planes anyway, so a store dropped with its engine
+/// would only make the next engine allocate beside them.
+static LARGE_PLANES: PlaneStore = PlaneStore::new();
+
+/// Runs `body` with a scratch for planes of up to `largest` amplitudes:
+/// a large one borrowed from [`LARGE_PLANES`] and returned afterwards, or
+/// this thread's [`WORKER_SCRATCH`] for small planes. A `body` that panics
+/// drops a borrowed scratch instead of returning it; the store stays
+/// valid and the next large job allocates.
+fn with_scratch<R>(largest: u64, body: impl FnOnce(&mut AmplitudeScratch) -> R) -> R {
+    let largest = usize::try_from(largest).unwrap_or(usize::MAX);
+    if largest >= PARALLEL_THRESHOLD {
+        let mut scratch = LARGE_PLANES.take(largest);
+        let result = body(&mut scratch);
+        LARGE_PLANES.put(scratch);
+        result
+    } else {
+        WORKER_SCRATCH.with(|cell| body(&mut cell.borrow_mut()))
+    }
 }
 
 /// The noisy state-vector runner: each trial replays the three-step
@@ -129,8 +167,7 @@ fn run_noisy(job: &SearchJob, plan: &ExecutionPlan, spec: NoiseSpec) -> SearchRe
     let mut reported = Vec::with_capacity(job.trials as usize);
     let mut queries = 0u64;
     let mut success_sum = 0.0;
-    WORKER_SCRATCH.with(|cell| {
-        let scratch = &mut cell.borrow_mut();
+    with_scratch(job.n, |scratch| {
         for trial in 0..job.trials {
             let mut rng = StdRng::seed_from_u64(derive_seed(job.seed, u64::from(trial)));
             let db = Database::new(job.n, job.target);
@@ -173,8 +210,7 @@ fn run_recursive(job: &SearchJob, plan: &ExecutionPlan) -> SearchResult {
     let mut queries = 0u64;
     let mut levels = 0u32;
     let mut success_sum = 0.0;
-    WORKER_SCRATCH.with(|cell| {
-        let scratch = &mut cell.borrow_mut();
+    with_scratch(search.largest_dense_level(job.n), |scratch| {
         for trial in 0..job.trials {
             // Per-trial seeds derive from the job seed exactly as per-level
             // seeds derive from the trial seed: the whole job is a pure
@@ -286,8 +322,7 @@ fn run_statevector(job: &SearchJob, plan: &ExecutionPlan, rng: &mut StdRng) -> S
     let mut reported = Vec::with_capacity(job.trials as usize);
     let mut queries = 0u64;
     let mut success = 0.0;
-    WORKER_SCRATCH.with(|cell| {
-        let scratch = &mut cell.borrow_mut();
+    with_scratch(job.n, |scratch| {
         for _ in 0..job.trials {
             let db = Database::new(job.n, job.target);
             let run = search.run_statevector_in(&db, &partition, rng, scratch);
@@ -589,6 +624,53 @@ mod tests {
         })
         .join()
         .expect("scratch thread");
+    }
+
+    #[test]
+    fn large_planes_bypass_the_worker_scratch() {
+        // On a fresh thread, so the thread-local scratch starts empty.
+        std::thread::spawn(|| {
+            let held = || WORKER_SCRATCH.with(|cell| cell.borrow().capacity());
+            let large = SearchJob::new(1, PARALLEL_THRESHOLD as u64, 4, 77)
+                .with_backend(BackendHint::StateVector);
+            let first = run(large);
+            assert_eq!(held(), 0, "a large plane goes back to the store");
+            assert_eq!(run(large), first);
+            run(SearchJob::new(2, 1 << 12, 4, 9).with_backend(BackendHint::StateVector));
+            assert!(held() >= 1 << 12, "small planes stay with the worker");
+        })
+        .join()
+        .expect("scratch thread");
+    }
+
+    #[test]
+    fn a_store_plane_returned_complex_gives_an_ideal_job_a_fresh_result() {
+        let n = PARALLEL_THRESHOLD as u64;
+        let dephasing = SearchJob::new(1, n, 4, 4242)
+            .with_backend(BackendHint::StateVector)
+            .with_noise(NoiseSpec {
+                depolarizing: 0.0,
+                dephasing: 0.2,
+                oracle_fault: 0.0,
+            });
+        let ideal = SearchJob::new(2, n, 4, 4242).with_backend(BackendHint::StateVector);
+        // The reference allocates its own planes.
+        let plan = Planner::new().plan(&ideal).expect("job plans");
+        let fresh = PartialSearch::with_epsilon(plan.schedule.plan.epsilon).run_statevector(
+            &Database::new(n, ideal.target),
+            &Partition::new(n, ideal.k),
+            &mut StdRng::seed_from_u64(ideal.seed),
+        );
+        for _ in 0..2 {
+            run(dephasing);
+            let result = run(ideal);
+            assert_eq!(result.block_found, fresh.outcome.reported_block);
+            assert_eq!(result.queries, fresh.outcome.queries);
+            assert_eq!(
+                result.success_estimate.to_bits(),
+                fresh.success_probability.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   and identical to executing each job alone;
 //! * a cache hit returns exactly the deterministic fields a cold execution
 //!   would produce (the cache key covers every input the runners read), so
-//!   caching is observable only through wall times and the hit counters.
+//!   caching is observable only through wall times and the hit counters;
+//! * a job whose execution panics fails alone: it is reported in
+//!   [`BatchReport::failed`], and the rest of its batch is served as usual.
 
 use crate::backends;
 use crate::cache::{CacheKey, ResultCache, ResultCacheStats, DEFAULT_RESULT_CACHE_CAPACITY};
@@ -63,6 +65,9 @@ pub struct BatchReport {
     pub results: Vec<SearchResult>,
     /// Jobs that failed validation or planning, with reasons.
     pub rejected: Vec<RejectedJob>,
+    /// Jobs whose execution panicked, with the panic message, in
+    /// submission order. They get no result and no result-cache entry.
+    pub failed: Vec<RejectedJob>,
     /// Aggregate statistics.
     pub metrics: BatchMetrics,
 }
@@ -247,9 +252,9 @@ impl Engine {
         }
         plan_scratch.flush_into(&self.obs.plan);
         cache_scratch.flush_into(&self.obs.cache_lookup);
-        let slots_and_keys: Vec<(usize, Option<CacheKey>)> = pending
+        let slots_and_keys: Vec<(usize, u64, Option<CacheKey>)> = pending
             .iter()
-            .map(|(slot, _, _, key)| (*slot, *key))
+            .map(|(slot, job, _, key)| (*slot, job.id, *key))
             .collect();
         let tasks: Vec<_> = pending
             .into_iter()
@@ -258,32 +263,55 @@ impl Engine {
                 move || execute_planned(&job, &plan, &obs)
             })
             .collect();
+        // Failed jobs by slot: a panic is that job's failure alone.
+        let mut failed: Vec<(usize, RejectedJob)> = Vec::new();
         // `map` returns in submission order, which is exactly `slots` order.
-        for ((slot, key), result) in slots_and_keys.into_iter().zip(self.pool.map(tasks)) {
-            if let (Some(cache), Some(key)) = (&self.result_cache, key) {
-                cache.insert_with_key(key, result);
+        for ((slot, job_id, key), outcome) in slots_and_keys.into_iter().zip(self.pool.map(tasks)) {
+            match outcome {
+                Ok(result) => {
+                    if let (Some(cache), Some(key)) = (&self.result_cache, key) {
+                        cache.insert_with_key(key, result);
+                    }
+                    results[slot] = Some(result);
+                }
+                Err(payload) => failed.push((
+                    slot,
+                    RejectedJob {
+                        job_id,
+                        reason: format!("execution panicked: {}", panic_message(&*payload)),
+                    },
+                )),
             }
-            results[slot] = Some(result);
         }
         // In-batch repeats are copies of their original's result — served
         // like cache hits (id re-stamped, wall time charged to the lookup),
         // and counted as hits since the repeat was absorbed by memoisation.
+        // A repeat of a failed job fails the same way.
         if !duplicates.is_empty() {
             if let Some(cache) = &self.result_cache {
                 cache.record_hits(duplicates.len() as u64);
             }
             for (slot, origin_slot, job_id) in duplicates {
-                let mut served = results[origin_slot].expect("original executed in the loop above");
-                served.job_id = job_id;
-                served.wall_time_us = 0.0;
-                results[slot] = Some(served);
+                match results[origin_slot] {
+                    Some(mut served) => {
+                        served.job_id = job_id;
+                        served.wall_time_us = 0.0;
+                        results[slot] = Some(served);
+                    }
+                    None => {
+                        let (_, origin) = failed
+                            .iter()
+                            .find(|(failed_slot, _)| *failed_slot == origin_slot)
+                            .expect("an executed job without a result failed");
+                        let reason = origin.reason.clone();
+                        failed.push((slot, RejectedJob { job_id, reason }));
+                    }
+                }
             }
+            failed.sort_by_key(|(slot, _)| *slot);
         }
         let wall_time_s = started.elapsed().as_secs_f64();
-        let results: Vec<SearchResult> = results
-            .into_iter()
-            .map(|r| r.expect("every accepted job has a result"))
-            .collect();
+        let results: Vec<SearchResult> = results.into_iter().flatten().collect();
         let metrics = BatchMetrics::aggregate(
             &results,
             rejected.len() as u64,
@@ -294,6 +322,7 @@ impl Engine {
         BatchReport {
             results,
             rejected,
+            failed: failed.into_iter().map(|(_, job)| job).collect(),
             metrics,
         }
     }
@@ -339,6 +368,16 @@ impl Engine {
             engine: Arc::new(self),
         }
     }
+}
+
+/// The message a panic carried (`panic!` with a literal or a format string),
+/// or a placeholder for any other payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Executes an already-planned job, stamping its wall time. The execution
@@ -589,6 +628,45 @@ mod tests {
         }
         // All submissions hit the one shared result cache.
         assert!(handle.result_cache_stats().hits >= 36);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_panicking_job_fails_alone() {
+        let engine = Engine::new(EngineConfig {
+            threads: Some(2),
+            ..EngineConfig::default()
+        });
+        let poison = SearchJob::new(1, 1 << 10, 4, 5).with_seed(backends::POISON_SEED);
+        let mut repeat = poison;
+        repeat.id = 3;
+        let jobs = [
+            SearchJob::new(0, 1 << 10, 4, 7),
+            poison,
+            SearchJob::new(2, 1 << 12, 4, 9),
+            repeat,
+        ];
+        for _ in 0..2 {
+            let report = engine.run_batch(&jobs);
+            let ids: Vec<u64> = report.results.iter().map(|r| r.job_id).collect();
+            assert_eq!(ids, [0, 2], "batch-mates are served");
+            assert!(report.rejected.is_empty());
+            let failed: Vec<u64> = report.failed.iter().map(|f| f.job_id).collect();
+            // The in-batch repeat fails the same way, and nothing was
+            // cached: the second pass fails again.
+            assert_eq!(failed, [1, 3]);
+            for failure in &report.failed {
+                assert_eq!(
+                    failure.reason,
+                    "execution panicked: the job carries the poison seed"
+                );
+            }
+        }
+        assert_eq!(
+            engine.run_batch(&jobs[..1]).results.len(),
+            1,
+            "the pool serves on"
+        );
     }
 
     #[test]

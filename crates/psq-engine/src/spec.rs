@@ -410,7 +410,7 @@ impl SearchResult {
     }
 }
 
-/// A job the engine refused to run, and why.
+/// A job the engine refused to run, or whose execution failed, and why.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RejectedJob {
     /// The job's identifier.

@@ -14,10 +14,10 @@
 //! [`WorkerPool::map`] tags every job with its submission index and
 //! reassembles output in submission order, and jobs are expected to derive
 //! any randomness from their own seeds, never from placement. A job that
-//! panics is caught on the worker (the panic propagates to the caller of
-//! [`WorkerPool::map`] as a panic once the batch's results are collected, and
-//! fire-and-forget panics are swallowed); workers never die mid-service, so
-//! [`Drop`] always joins cleanly even after a panicked job.
+//! panics is caught where it runs: [`WorkerPool::map`] returns the panic as
+//! that job's failure, beside its batch-mates' results, and fire-and-forget
+//! panics are swallowed. Workers never die mid-service, so [`Drop`] always
+//! joins cleanly even after a panicked job.
 //!
 //! # Parallel regions
 //!
@@ -322,9 +322,10 @@ fn worker_loop(shared: Arc<Shared>, index: usize, local: Worker<Job>) {
     };
     loop {
         if let Some(job) = find_job(&local) {
-            // A panicking job must not take the worker down with it: the
-            // missing result surfaces to the submitter (map's collection
-            // channel errors), and Drop can still join this thread.
+            // A panicking job must not take the worker down with it, so
+            // Drop can still join this thread. (`map` jobs catch their own
+            // panics and report them as results; this catches the
+            // fire-and-forget ones.)
             let _ = catch_unwind(AssertUnwindSafe(job));
             continue;
         }
@@ -409,16 +410,18 @@ impl WorkerPool {
         self.shared.signal(false);
     }
 
-    /// Runs `jobs` on the pool and returns their results in submission order.
+    /// Runs `jobs` on the pool and returns their outcomes in submission
+    /// order: each job's value, or the payload of its panic. A panicking job
+    /// fails alone; the rest of the batch still runs, and the caller never
+    /// unwinds.
     ///
-    /// Blocks until every job has completed. Panics if a job panicked (its
-    /// result can never arrive).
-    pub fn map<A, F>(&self, jobs: Vec<F>) -> Vec<A>
+    /// Blocks until every job has completed.
+    pub fn map<A, F>(&self, jobs: Vec<F>) -> Vec<std::thread::Result<A>>
     where
         A: Send + 'static,
         F: FnOnce() -> A + Send + 'static,
     {
-        let (result_tx, result_rx) = unbounded::<(usize, A)>();
+        let (result_tx, result_rx) = unbounded::<(usize, std::thread::Result<A>)>();
         let expected = jobs.len();
         // Push the whole batch before waking anyone: one wakeup for N jobs
         // keeps small-job batches from context-switch thrash (a per-push
@@ -426,22 +429,22 @@ impl WorkerPool {
         for (index, job) in jobs.into_iter().enumerate() {
             let tx = result_tx.clone();
             self.shared.injector.push(Box::new(move || {
-                let value = job();
+                let outcome = catch_unwind(AssertUnwindSafe(job));
                 // The receiver outlives the loop below, so this send only
                 // fails if the caller's receiver was dropped early, which
                 // cannot happen within this function.
-                let _ = tx.send((index, value));
+                let _ = tx.send((index, outcome));
             }));
         }
         self.shared.signal(true);
         drop(result_tx);
-        let mut results: Vec<Option<A>> = Vec::new();
+        let mut results: Vec<Option<std::thread::Result<A>>> = Vec::new();
         results.resize_with(expected, || None);
         for _ in 0..expected {
-            let (index, value) = result_rx
+            let (index, outcome) = result_rx
                 .recv()
-                .expect("a worker terminated without reporting a result");
-            results[index] = Some(value);
+                .expect("every job reports its outcome, panicked or not");
+            results[index] = Some(outcome);
         }
         results
             .into_iter()
@@ -468,6 +471,14 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    /// Every job's value; panics if a job panicked.
+    fn ok<A>(outcomes: Vec<std::thread::Result<A>>) -> Vec<A> {
+        outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("job completed"))
+            .collect()
+    }
+
     #[test]
     fn pool_runs_every_job() {
         let pool = WorkerPool::new(4);
@@ -486,7 +497,7 @@ mod tests {
     fn map_preserves_order() {
         let pool = WorkerPool::new(3);
         let jobs: Vec<_> = (0..50).map(|i| move || i * 2).collect();
-        let results = pool.map(jobs);
+        let results = ok(pool.map(jobs));
         assert_eq!(results, (0..50).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -503,14 +514,14 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(pool.map(jobs), (0..20).collect::<Vec<_>>());
+        assert_eq!(ok(pool.map(jobs)), (0..20).collect::<Vec<_>>());
     }
 
     #[test]
     fn zero_thread_request_still_gets_one_worker() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.map(vec![|| 7]), vec![7]);
+        assert_eq!(ok(pool.map(vec![|| 7])), vec![7]);
     }
 
     #[test]
@@ -525,7 +536,7 @@ mod tests {
         for round in 0..5 {
             let jobs: Vec<_> = (0..10).map(|i| move || i + round).collect();
             assert_eq!(
-                pool.map(jobs),
+                ok(pool.map(jobs)),
                 (0..10).map(|i| i + round).collect::<Vec<_>>()
             );
         }
@@ -538,7 +549,7 @@ mod tests {
         let pool = WorkerPool::new(8);
         let jobs: Vec<_> = (0..5000u64).map(|i| move || i.wrapping_mul(i)).collect();
         let expected: Vec<u64> = (0..5000u64).map(|i| i.wrapping_mul(i)).collect();
-        assert_eq!(pool.map(jobs), expected);
+        assert_eq!(ok(pool.map(jobs)), expected);
     }
 
     #[test]
@@ -562,29 +573,37 @@ mod tests {
     fn pool_stays_usable_after_a_panicked_job() {
         let pool = WorkerPool::new(2);
         pool.execute(|| panic!("first job panics"));
-        let results = pool.map((0..20).map(|i| move || i + 1).collect::<Vec<_>>());
+        let results = ok(pool.map((0..20).map(|i| move || i + 1).collect::<Vec<_>>()));
         assert_eq!(results, (1..=20).collect::<Vec<_>>());
     }
 
     #[test]
-    fn map_panics_when_a_job_panics_instead_of_hanging() {
+    fn map_reports_a_panicked_job_as_its_failure() {
         let pool = WorkerPool::new(2);
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.map(
-                (0..4)
-                    .map(|i| {
-                        move || {
-                            if i == 2 {
-                                panic!("poisoned job");
-                            }
-                            i
+        let outcomes = pool.map(
+            (0..4)
+                .map(|i| {
+                    move || {
+                        if i == 2 {
+                            panic!("poisoned job");
                         }
-                    })
-                    .collect::<Vec<_>>(),
-            )
-        }));
-        assert!(outcome.is_err(), "map must propagate the lost result");
-        // And the pool still shuts down cleanly afterwards.
+                        i
+                    }
+                })
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(outcomes.len(), 4);
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                Ok(value) => assert_eq!(value, i, "batch-mates keep their results"),
+                Err(payload) => {
+                    assert_eq!(i, 2, "only the panicking job fails");
+                    assert_eq!(panic_message(payload.as_ref()), "poisoned job");
+                }
+            }
+        }
+        // The pool keeps serving, and still shuts down cleanly afterwards.
+        assert_eq!(ok(pool.map(vec![|| 7])), vec![7]);
         drop(pool);
     }
 
@@ -609,7 +628,7 @@ mod tests {
         pool: &WorkerPool,
         job: impl FnOnce() -> R + Send + 'static,
     ) -> R {
-        pool.map(vec![job]).pop().expect("one job, one result")
+        ok(pool.map(vec![job])).pop().expect("one job, one result")
     }
 
     /// Sleeps in short steps until `done` holds or `deadline` passes.
@@ -653,7 +672,7 @@ mod tests {
         assert_eq!(sums.len(), 16);
         assert_eq!(sums.iter().sum::<u64>(), 4095 * 4096 / 2);
         assert_eq!(
-            pool.map((0..8).map(|i| move || i * 3).collect::<Vec<_>>()),
+            ok(pool.map((0..8).map(|i| move || i * 3).collect::<Vec<_>>())),
             (0..8).map(|i| i * 3).collect::<Vec<_>>()
         );
     }
@@ -706,7 +725,7 @@ mod tests {
                 }
             })
             .collect();
-        for (foreign, data) in pool.map(jobs) {
+        for (foreign, data) in ok(pool.map(jobs)) {
             assert_eq!(foreign, 0, "a busy worker ran a sibling's chunk");
             assert!(data.iter().all(|&x| x == 2));
         }

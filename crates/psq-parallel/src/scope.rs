@@ -118,7 +118,10 @@ mod tests {
         pool: &WorkerPool,
         job: impl FnOnce() -> R + Send + 'static,
     ) -> R {
-        pool.map(vec![job]).pop().expect("one job, one result")
+        pool.map(vec![job])
+            .pop()
+            .expect("one job, one result")
+            .expect("job completed")
     }
 
     #[test]

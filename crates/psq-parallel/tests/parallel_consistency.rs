@@ -14,7 +14,10 @@ fn pools() -> &'static [WorkerPool] {
 /// Runs `job` on one of `pool`'s workers (so its sweeps run as regions the
 /// pool's idle workers join) and returns its result.
 fn on_pool<R: Send + 'static>(pool: &WorkerPool, job: impl FnOnce() -> R + Send + 'static) -> R {
-    pool.map(vec![job]).pop().expect("one job, one result")
+    pool.map(vec![job])
+        .pop()
+        .expect("one job, one result")
+        .expect("job completed")
 }
 
 /// The sweep the bit-identity property runs: `x ← shift − x`, summing the
@@ -143,7 +146,11 @@ proptest! {
             .iter()
             .map(|&x| move || x.wrapping_mul(x).wrapping_add(1))
             .collect();
-        let results = pool.map(jobs);
+        let results: Vec<u64> = pool
+            .map(jobs)
+            .into_iter()
+            .map(|outcome| outcome.expect("job completed"))
+            .collect();
         let expected: Vec<u64> = inputs.iter().map(|&x| x.wrapping_mul(x).wrapping_add(1)).collect();
         prop_assert_eq!(results, expected);
     }

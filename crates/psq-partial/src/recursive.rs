@@ -199,6 +199,22 @@ impl RecursiveSearch {
         self
     }
 
+    /// Whether the descent splits a range of `len` addresses into `k`
+    /// blocks (rather than finishing it by brute force).
+    fn splits(&self, len: u64) -> bool {
+        len > self.brute_force_cutoff && len.is_multiple_of(self.k) && len / self.k >= 2
+    }
+
+    /// The largest level of a descent over `n` addresses that runs the
+    /// state-vector kernels, i.e. the most amplitudes its scratch holds at
+    /// once (0 when every level runs the reduced form).
+    pub fn largest_dense_level(&self, n: u64) -> u64 {
+        std::iter::successors(Some(n), |&len| Some(len / self.k))
+            .take_while(|&len| self.splits(len))
+            .find(|&len| len <= self.statevector_cutoff)
+            .unwrap_or(0)
+    }
+
     /// Runs the reduction against a database, charging all queries (quantum
     /// and the brute-force tail) to its counter. Compatibility entry point:
     /// draws the root seed from `rng` and delegates to
@@ -239,7 +255,7 @@ impl RecursiveSearch {
         let mut len = n;
         let mut level_index = 0u64;
 
-        while len > self.brute_force_cutoff && len.is_multiple_of(self.k) && len / self.k >= 2 {
+        while self.splits(len) {
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, level_index));
             let block_size = len / self.k;
             let target_in_range = target >= lo && target < lo + len;
@@ -438,6 +454,31 @@ mod tests {
         let warm = search.run_seeded(1 << 14, 9999, 3, &mut scratch_a);
         assert_eq!(fresh.outcome, warm.outcome);
         assert_eq!(fresh.levels, warm.levels);
+    }
+
+    #[test]
+    fn largest_dense_level_is_the_largest_state_vector_level_run() {
+        for (n, k, cutoff) in [
+            (1u64 << 16, 4u64, DEFAULT_STATEVECTOR_CUTOFF),
+            (1 << 16, 4, 1 << 13),
+            (1 << 15, 8, 1 << 20),
+            (1 << 16, 4, 0),
+        ] {
+            let search = RecursiveSearch::new(n, k).with_statevector_cutoff(cutoff);
+            let run = search.run_seeded(n, 1000, 5, &mut AmplitudeScratch::new());
+            let dense = run
+                .levels
+                .iter()
+                .filter(|level| level.kind == LevelKind::StateVector)
+                .map(|level| level.size)
+                .max()
+                .unwrap_or(0);
+            assert_eq!(
+                search.largest_dense_level(n),
+                dense,
+                "n {n} k {k} cutoff {cutoff}"
+            );
+        }
     }
 
     #[test]

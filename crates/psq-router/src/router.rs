@@ -217,6 +217,14 @@ impl Slot {
     fn routable(&self, worker_inflight: u32) -> bool {
         self.phase == Phase::Up && self.link.is_some() && self.inflight < worker_inflight
     }
+
+    /// Releases one job's in-flight assignment. Every release pairs with
+    /// one dispatch, so a release at zero is a double decrement: debug
+    /// builds fail on it instead of clamping it away.
+    fn release(&mut self) {
+        debug_assert!(self.inflight > 0, "in-flight count released below zero");
+        self.inflight = self.inflight.saturating_sub(1);
+    }
 }
 
 /// One admitted, not-yet-answered job.
@@ -235,6 +243,18 @@ struct Pending {
     deadline: Instant,
     dispatched: Instant,
     started: Instant,
+}
+
+/// An attempt taken off its worker, still to be counted and retried (see
+/// [`Shared::retry_or_fail`]).
+struct FailedAttempt {
+    router_id: u64,
+    /// The worker that failed it, which the retry avoids.
+    slot: Option<usize>,
+    trace_id: u64,
+    outstanding_us: f64,
+    /// The retry budget is spent and the job was answered with an error.
+    exhausted: bool,
 }
 
 /// Mutable routing state behind one mutex (submit path, dispatcher and
@@ -335,46 +355,64 @@ impl Shared {
     /// retries are spent. `expired` marks a deadline expiry (as opposed to
     /// a worker loss) in the counters.
     fn retry_or_fail(&self, router_id: u64, expired: bool) {
-        let outstanding_us;
-        let exhausted;
-        let trace_id;
-        let failed_slot;
-        {
-            let mut guard = self.state.lock();
-            let state = &mut *guard;
-            let Some(pending) = state.pending.get_mut(&router_id) else {
-                return; // answered while we decided
-            };
-            outstanding_us = pending.dispatched.elapsed().as_micros() as f64;
-            trace_id = pending.trace;
-            // Release the failed assignment: the old worker no longer owns
-            // this job (its late answer, if any, is still accepted — first
-            // answer wins — but no longer counts against its slot).
-            failed_slot = pending.slot.take();
-            if let Some(old) = failed_slot {
-                state.slots[old].inflight = state.slots[old].inflight.saturating_sub(1);
-            }
-            pending.attempts += 1;
-            exhausted = pending.attempts > 1 + self.config.max_retries;
-            if exhausted {
-                let pending = state.pending.remove(&router_id).expect("checked above");
-                let reason = format!(
-                    "deadline budget exhausted after {} attempt(s)",
-                    pending.attempts - 1
-                );
-                self.answer_error(&pending, ErrorKind::Deadline, &reason);
-            }
+        let failed = self.end_attempt(&mut self.state.lock(), router_id);
+        if let Some(failed) = failed {
+            self.follow_up(failed, expired);
         }
+    }
+
+    /// The locked half of [`Shared::retry_or_fail`]: takes `router_id`'s
+    /// current attempt off its worker and counts the next one, answering a
+    /// `deadline` error once the bounded retries are spent. `None` if the
+    /// job was answered meanwhile.
+    fn end_attempt(&self, state: &mut State, router_id: u64) -> Option<FailedAttempt> {
+        let pending = state.pending.get_mut(&router_id)?;
+        let outstanding_us = pending.dispatched.elapsed().as_micros() as f64;
+        let trace_id = pending.trace;
+        // Release the failed assignment: the old worker no longer owns this
+        // job (its late answer, if any, is still accepted — first answer
+        // wins — but no longer counts against its slot).
+        let slot = pending.slot.take();
+        if let Some(old) = slot {
+            state.slots[old].release();
+        }
+        pending.attempts += 1;
+        let exhausted = pending.attempts > 1 + self.config.max_retries;
+        if exhausted {
+            let pending = state.pending.remove(&router_id).expect("checked above");
+            let reason = format!(
+                "deadline budget exhausted after {} attempt(s)",
+                pending.attempts - 1
+            );
+            self.answer_error(&pending, ErrorKind::Deadline, &reason);
+        }
+        Some(FailedAttempt {
+            router_id,
+            slot,
+            trace_id,
+            outstanding_us,
+            exhausted,
+        })
+    }
+
+    /// The unlocked half of [`Shared::retry_or_fail`]: counts the failure
+    /// and re-dispatches the job unless it was failed for good.
+    fn follow_up(&self, failed: FailedAttempt, expired: bool) {
         if expired {
             RouterObs::bump(&self.obs.deadline_expired);
         }
-        if exhausted {
+        if failed.exhausted {
             return;
         }
         RouterObs::bump(&self.obs.retries);
-        self.obs.retry_us.record(outstanding_us);
-        trace::event_traced(router_id, Some(trace_id), stage::RETRY, outstanding_us);
-        self.dispatch(router_id, failed_slot);
+        self.obs.retry_us.record(failed.outstanding_us);
+        trace::event_traced(
+            failed.router_id,
+            Some(failed.trace_id),
+            stage::RETRY,
+            failed.outstanding_us,
+        );
+        self.dispatch(failed.router_id, failed.slot);
     }
 
     /// Sends `pending` an error response and balances its session slot,
@@ -399,9 +437,10 @@ impl Shared {
     /// Returns the dead link for the caller to reap outside the lock.
     fn worker_down(&self, slot_index: usize) -> Option<WorkerLink> {
         let link;
-        let owed: Vec<u64>;
+        let failed: Vec<FailedAttempt>;
         {
-            let mut state = self.state.lock();
+            let mut guard = self.state.lock();
+            let state = &mut *guard;
             let slot = &mut state.slots[slot_index];
             if slot.phase == Phase::Down || slot.phase == Phase::Broken {
                 return None;
@@ -410,7 +449,6 @@ impl Shared {
             link = slot.link.take();
             slot.phase = Phase::Down;
             slot.probe_sent = None;
-            slot.inflight = 0;
             slot.down_since.get_or_insert_with(Instant::now);
             let now = Instant::now();
             if drained {
@@ -426,15 +464,22 @@ impl Shared {
                     slot.respawn_at = now + self.config.backoff * (1u32 << exponent);
                 }
             }
-            owed = state
+            let owed: Vec<u64> = state
                 .pending
                 .iter()
                 .filter(|(_, p)| p.slot == Some(slot_index))
                 .map(|(&id, _)| id)
                 .collect();
+            // Each owed job releases its own assignment under this lock, so
+            // the count reaches zero before a respawn can reuse the slot.
+            failed = owed
+                .into_iter()
+                .filter_map(|router_id| self.end_attempt(state, router_id))
+                .collect();
+            debug_assert_eq!(state.slots[slot_index].inflight, 0);
         }
-        for router_id in owed {
-            self.retry_or_fail(router_id, false);
+        for attempt in failed {
+            self.follow_up(attempt, false);
         }
         link
     }
@@ -602,8 +647,7 @@ impl Shared {
                     match state.pending.remove(&router_id) {
                         Some(pending) => {
                             if let Some(assigned) = pending.slot {
-                                let slot = &mut state.slots[assigned];
-                                slot.inflight = slot.inflight.saturating_sub(1);
+                                state.slots[assigned].release();
                             }
                             state.slots[slot_index].completed += 1;
                             Some(pending)
@@ -651,8 +695,7 @@ impl Shared {
                     match state.pending.remove(&router_id) {
                         Some(pending) => {
                             if let Some(assigned) = pending.slot {
-                                let slot = &mut state.slots[assigned];
-                                slot.inflight = slot.inflight.saturating_sub(1);
+                                state.slots[assigned].release();
                             }
                             Some(pending)
                         }

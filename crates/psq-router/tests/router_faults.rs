@@ -338,6 +338,80 @@ fn restart_line_is_acked_and_rolls_every_worker() {
     router.finish();
 }
 
+/// A slow worker: slot 0 sends each reply only after a delay longer than
+/// the per-request deadline, so every job routed there expires and is
+/// retried on the other worker. Each id is still answered exactly once and
+/// bit-identically, all by slot 1, and the slow worker is not recycled.
+#[test]
+fn a_deadline_retry_lands_on_the_other_worker() {
+    let jobs: Vec<SearchJob> = (0..16)
+        .map(|id| SearchJob::new(id, 1 << 10, 4, (id * 61) % (1 << 10)).with_seed(500 + id))
+        .collect();
+    let mut config = test_config(2);
+    config.deadline = Duration::from_millis(400);
+    // Slow, not hung: its late health replies must not get it killed.
+    config.liveness_timeout = Duration::from_secs(60);
+    config.faults = vec![Some(FaultPlan::parse("delay=4000").expect("valid spec"))];
+    let (routed, metrics) = route_jobs(config, &jobs, 0);
+    assert_bit_identical(&routed, &jobs);
+    assert!(metrics.retries >= 1, "jobs on the slow worker were retried");
+    assert!(metrics.deadline_expired >= 1);
+    assert_eq!(
+        metrics.workers[0].completed, 0,
+        "the slow worker won no job"
+    );
+    assert_eq!(metrics.workers[1].completed, jobs.len() as u64);
+    assert_eq!(metrics.respawns, 0, "a slow worker is not a dead one");
+}
+
+/// A job that panics its worker's engine (the debug-build poison seed)
+/// costs one `internal` error behind the router too: the error is final, so
+/// it is neither retried nor counted against the worker, no worker is
+/// recycled, and every other job is answered bit-identically.
+#[cfg(debug_assertions)]
+#[test]
+fn a_panicking_job_is_answered_once_and_recycles_no_worker() {
+    let poison = SearchJob::new(5, 1 << 10, 4, 33).with_seed(psq_engine::backends::POISON_SEED);
+    let jobs: Vec<SearchJob> = (0..24)
+        .filter(|&id| id != poison.id)
+        .map(|id| SearchJob::new(id, 1 << 10, 4, (id * 41) % (1 << 10)).with_seed(900 + id))
+        .collect();
+    let router = Router::start(test_config(2));
+    let (client, responses) = router.attach();
+    let (before, after) = jobs.split_at(10);
+    for job in before.iter().chain([&poison]).chain(after) {
+        let line = serde_json::to_string(job).expect("jobs serialise");
+        assert_eq!(client.submit_line(&line), LineOutcome::Continue);
+    }
+    let mut routed: HashMap<u64, SearchResult> = HashMap::new();
+    let mut internal = Vec::new();
+    for _ in 0..=jobs.len() {
+        let line = responses
+            .recv_timeout(Duration::from_secs(30))
+            .expect("every id is answered");
+        match parse_response(&line).expect("well-formed response line") {
+            Response::Result(result) => {
+                let id = result.job_id;
+                assert!(
+                    routed.insert(id, *result).is_none(),
+                    "id {id} answered twice"
+                );
+            }
+            Response::Error { id, kind, .. } => {
+                assert_eq!(kind, ErrorKind::Internal);
+                internal.push(id);
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    let metrics = router.finish();
+    assert_eq!(internal, [Some(poison.id)]);
+    assert_bit_identical(&routed, &jobs);
+    assert_eq!(metrics.retries, 0, "an internal error is final");
+    assert_eq!(metrics.respawns, 0, "no worker was recycled");
+    assert_eq!(metrics.jobs_errored, 1);
+}
+
 /// When every worker is saturated, new jobs are shed with a structured
 /// `overload` error — never queued unboundedly, never silently dropped.
 #[test]

@@ -19,7 +19,9 @@
 //! coalescer renumbers jobs to their batch index before submission and
 //! restores the client id on the way back out; the engine never sees
 //! client ids. Rejections are mapped back the same way, with the engine's
-//! internal id rewritten out of the reason text.
+//! internal id rewritten out of the reason text. A job whose execution
+//! panicked is answered with an `internal` error; the rest of its batch is
+//! served as usual.
 
 use crate::metrics::ServeStats;
 use crate::protocol::{ErrorKind, Response};
@@ -284,6 +286,9 @@ fn execute_batch(engine: &EngineHandle, mut tickets: Vec<JobTicket>, stats: &Ser
             1,
         );
         ticket.serve_error(ErrorKind::Rejected, reason);
+    }
+    for failed in report.failed {
+        tickets[failed.job_id as usize].serve_error(ErrorKind::Internal, failed.reason);
     }
 }
 

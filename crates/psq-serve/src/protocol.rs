@@ -45,7 +45,8 @@
 //!   bound hit — resubmit later; the connection stays open), `"rejected"`
 //!   (the engine's planner refused it), `"deadline"` (the front-tier
 //!   router's per-request budget ran out before any worker answered),
-//!   `"shutting_down"`.
+//!   `"internal"` (the job's execution panicked; by determinism a retry
+//!   would fail the same way), `"shutting_down"`.
 //! * `{"type":"metrics","metrics":{…ServeMetrics…}}`.
 //! * `{"type":"health","status":"…","queue_depth":…,"uptime_us":…}` — the
 //!   reply to `{"cmd":"health"}`: `status` is `"ok"` or `"draining"`,
@@ -78,6 +79,9 @@ pub enum ErrorKind {
     /// A sweep request's grid exceeds the configured point cap
     /// (`--max-sweep-points`); split it into smaller sweeps and resubmit.
     SweepTooLarge,
+    /// The job's execution panicked (a bug). Only this job failed; jobs are
+    /// pure functions of their specs, so resubmitting it fails again.
+    Internal,
     /// The server is draining and no longer accepts work.
     ShuttingDown,
 }
@@ -92,6 +96,7 @@ impl ErrorKind {
             ErrorKind::Rejected => "rejected",
             ErrorKind::Deadline => "deadline",
             ErrorKind::SweepTooLarge => "sweep_too_large",
+            ErrorKind::Internal => "internal",
             ErrorKind::ShuttingDown => "shutting_down",
         }
     }
@@ -104,6 +109,7 @@ impl ErrorKind {
             "rejected" => ErrorKind::Rejected,
             "deadline" => ErrorKind::Deadline,
             "sweep_too_large" => ErrorKind::SweepTooLarge,
+            "internal" => ErrorKind::Internal,
             "shutting_down" => ErrorKind::ShuttingDown,
             _ => return None,
         })
@@ -641,6 +647,7 @@ mod tests {
             ErrorKind::Rejected,
             ErrorKind::Deadline,
             ErrorKind::SweepTooLarge,
+            ErrorKind::Internal,
             ErrorKind::ShuttingDown,
         ] {
             assert_eq!(ErrorKind::from_label(kind.label()), Some(kind));

@@ -619,6 +619,80 @@ fn lone_requests_to_an_idle_server_are_dispatched_at_once() {
     server.finish();
 }
 
+/// A job whose execution panics costs exactly one `internal` error: its
+/// batch-mates and every later job get results, and the server stays
+/// healthy. (The poison seed exists in debug builds only.)
+#[cfg(debug_assertions)]
+#[test]
+fn a_panicking_job_costs_one_internal_error_and_nothing_else() {
+    let server = Server::start(ServeConfig {
+        engine: EngineConfig {
+            threads: Some(2),
+            ..EngineConfig::default()
+        },
+        // A long dwell: the poison job and its mates ride one batch.
+        coalescer: CoalescerConfig {
+            max_batch: 256,
+            max_delay_us: 100_000,
+        },
+        ..ServeConfig::default()
+    });
+    let (client, responses) = server.attach();
+    let job = |id: u64| SearchJob::new(id, 1 << 10, 4, (id * 37) % (1 << 10));
+    let poison = job(3).with_seed(psq_engine::backends::POISON_SEED);
+    for id in 0..6u64 {
+        let line = if id == 3 { poison } else { job(id) };
+        client.submit_line(&serde_json::to_string(&line).expect("serialises"));
+    }
+    let mut results = Vec::new();
+    let mut internal = Vec::new();
+    for _ in 0..6 {
+        let line = responses
+            .recv_timeout(Duration::from_secs(10))
+            .expect("every job of the batch is answered");
+        match parse_response(&line).expect("well-formed response") {
+            Response::Result(result) => results.push(result.job_id),
+            Response::Error { id, kind, .. } => {
+                assert_eq!(kind, ErrorKind::Internal);
+                internal.push(id);
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    results.sort_unstable();
+    assert_eq!(results, [0, 1, 2, 4, 5], "the batch-mates get results");
+    assert_eq!(internal, [Some(3)], "one error, for the poison job only");
+    assert_eq!(server.metrics().batches, 1, "the six jobs shared a batch");
+    // The server keeps serving: 20 later jobs all get results.
+    for id in 100..120u64 {
+        client.submit_line(&serde_json::to_string(&job(id)).expect("serialises"));
+    }
+    let mut later: Vec<u64> = (0..20)
+        .map(|_| {
+            let line = responses
+                .recv_timeout(Duration::from_secs(10))
+                .expect("later jobs are answered");
+            match parse_response(&line).expect("well-formed response") {
+                Response::Result(result) => result.job_id,
+                other => panic!("expected a result, got {other:?}"),
+            }
+        })
+        .collect();
+    later.sort_unstable();
+    assert_eq!(later, (100..120).collect::<Vec<_>>());
+    client.submit_line("{\"cmd\":\"health\"}");
+    match parse_response(&responses.recv().expect("health answered")).expect("well-formed") {
+        Response::Health { status, .. } => assert_eq!(status, "ok"),
+        other => panic!("expected health, got {other:?}"),
+    }
+    let metrics = server.metrics();
+    assert_eq!(metrics.jobs_completed, 25);
+    assert_eq!(metrics.jobs_errored, 1);
+    assert_eq!(metrics.queue_depth, 0);
+    drop(client);
+    server.finish();
+}
+
 /// Accounting under concurrency: four clients submit 200 jobs each from
 /// their own threads, with colliding ids, against the default config.
 /// Every (client, id) pair is answered exactly once with that client's own

@@ -14,9 +14,20 @@
 //! The imaginary plane is allocated only once a state held in the buffer
 //! becomes complex: a scratch that only ever held real states — every ideal
 //! partial search — holds one plane of 8 bytes per amplitude.
+//!
+//! Where a scratch lives depends on its size. A small one stays with the
+//! thread that uses it, hot in that core's cache. A large one — at least
+//! [`PARALLEL_THRESHOLD`] amplitudes, where every sweep is shared by the
+//! idle pool workers anyway — is lent out by a [`PlaneStore`] for one job
+//! and handed back when the job ends. Memory for large planes is then
+//! bounded by the large jobs running at once, not by the number of threads
+//! times the largest plane each thread ever held.
+//!
+//! [`PARALLEL_THRESHOLD`]: crate::statevector::PARALLEL_THRESHOLD
 
 use crate::statevector::StateVector;
 use psq_math::soa::SoaVec;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A recyclable plane buffer (see module docs).
 ///
@@ -85,6 +96,61 @@ impl AmplitudeScratch {
     }
 }
 
+/// A store of large scratches shared by every thread that runs jobs.
+///
+/// A job [`take`](PlaneStore::take)s one scratch sized for the largest
+/// plane it will hold and [`put`](PlaneStore::put)s it back when it ends,
+/// so concurrent jobs always hold distinct scratches. The store never
+/// shrinks: it keeps as many scratches as jobs ever held at once, each as
+/// large as the largest plane it was grown to.
+#[derive(Debug, Default)]
+pub struct PlaneStore {
+    held: Mutex<Vec<AmplitudeScratch>>,
+}
+
+impl PlaneStore {
+    /// An empty store (usable in a `static`).
+    pub const fn new() -> Self {
+        Self {
+            held: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Takes the held scratch that best fits planes of `n` amplitudes: the
+    /// smallest one at least that large, or else the largest one, which the
+    /// caller's first state grows. An empty store lends an empty scratch.
+    pub fn take(&self, n: usize) -> AmplitudeScratch {
+        let mut held = self.lock();
+        let fit = held
+            .iter()
+            .enumerate()
+            .filter(|(_, scratch)| scratch.capacity() >= n)
+            .min_by_key(|(_, scratch)| scratch.capacity())
+            .or_else(|| {
+                held.iter()
+                    .enumerate()
+                    .max_by_key(|(_, scratch)| scratch.capacity())
+            })
+            .map(|(index, _)| index);
+        fit.map(|index| held.swap_remove(index)).unwrap_or_default()
+    }
+
+    /// Hands a scratch back for later takes. One that never allocated is
+    /// dropped: it has nothing to lend.
+    pub fn put(&self, scratch: AmplitudeScratch) {
+        if scratch.capacity() > 0 {
+            self.lock().push(scratch);
+        }
+    }
+
+    /// The held scratches. Each update is one `push` or `swap_remove`, so
+    /// a panic elsewhere cannot leave the list half-updated, and a poisoned
+    /// lock still guards a valid list.
+    fn lock(&self) -> MutexGuard<'_, Vec<AmplitudeScratch>> {
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,5 +196,93 @@ mod tests {
         let copy = scratch.take_copy_of(&state);
         assert_eq!(copy.re, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
         assert_eq!(copy.im, vec![0.0; 5]);
+    }
+
+    #[test]
+    fn the_store_lends_the_best_fitting_scratch() {
+        let store = PlaneStore::new();
+        assert_eq!(store.take(64).capacity(), 0, "an empty store lends nothing");
+        for n in [1 << 16, 1 << 20, 1 << 18] {
+            store.put(AmplitudeScratch::with_capacity(n));
+        }
+        store.put(AmplitudeScratch::new());
+        assert_eq!(store.lock().len(), 3, "empty scratches are dropped");
+        // The smallest that fits, not the first or the largest.
+        let mid = store.take((1 << 17) + 1);
+        assert_eq!(mid.capacity(), 1 << 18);
+        // Nothing left fits: the largest is lent, for the job to grow.
+        let large = store.take(1 << 21);
+        assert_eq!(large.capacity(), 1 << 20);
+        assert_eq!(store.take(1).capacity(), 1 << 16);
+        assert_eq!(store.take(1).capacity(), 0);
+    }
+
+    #[test]
+    fn concurrent_takes_get_distinct_scratches() {
+        const N: usize = 1 << 10;
+        let store = PlaneStore::new();
+        store.put(AmplitudeScratch::with_capacity(N));
+        store.put(AmplitudeScratch::with_capacity(N));
+        let held: Vec<*const f64> = store
+            .lock()
+            .iter()
+            .map(|scratch| scratch.buffer.re.as_ptr())
+            .collect();
+        // Both threads hold their scratch at the barrier, so neither take
+        // can see the other's scratch back in the store.
+        let barrier = std::sync::Barrier::new(2);
+        let taken: Vec<usize> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut scratch = store.take(N);
+                        let psi = StateVector::uniform_in(N, &mut scratch);
+                        let plane = psi.planes().0.as_ptr() as usize;
+                        barrier.wait();
+                        psi.recycle_into(&mut scratch);
+                        store.put(scratch);
+                        plane
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_ne!(taken[0], taken[1], "two jobs never share a plane");
+        for plane in taken {
+            assert!(held.contains(&(plane as *const f64)), "lent, not allocated");
+        }
+        assert_eq!(store.lock().len(), 2, "both came back");
+    }
+
+    #[test]
+    fn a_returned_imaginary_plane_does_not_reach_a_later_ideal_run() {
+        const N: usize = 1 << 12;
+        let db = crate::oracle::Database::new(N as u64, 1234);
+        let partition = crate::oracle::Partition::new(N as u64, 4);
+        let ideal = |scratch: &mut AmplitudeScratch| {
+            let mut psi = StateVector::uniform_in(N, scratch);
+            psi.grover_iterations(&db, 20);
+            psi.block_grover_iterations(&db, &partition, 6);
+            psi.invert_about_mean_excluding_target(&db);
+            let planes = (psi.planes().0.to_vec(), psi.planes().1.to_vec());
+            psi.recycle_into(scratch);
+            planes
+        };
+        let fresh = ideal(&mut AmplitudeScratch::new());
+        assert!(fresh.1.is_empty(), "an ideal run stays real");
+
+        let store = PlaneStore::new();
+        let mut scratch = store.take(N);
+        let mut psi = StateVector::uniform_in(N, &mut scratch);
+        psi.set_amplitude(7, psq_math::complex::Complex64::new(0.25, -0.5));
+        // Spreads the imaginary part over the whole plane.
+        psi.grover_iterations(&db, 3);
+        assert!(psi.planes().1.iter().all(|&im| im != 0.0));
+        psi.recycle_into(&mut scratch);
+        store.put(scratch);
+
+        let mut reused = store.take(N);
+        assert!(reused.im_capacity() >= N, "the complex plane came back");
+        assert_eq!(ideal(&mut reused), fresh);
     }
 }

@@ -45,8 +45,10 @@ use psq_parallel::{par_chunks_fixed, par_map_chunks_fixed, par_zip_chunks_fixed,
 /// plane that fits in one fixed-layout chunk has nothing to share with the
 /// pool's idle workers. From two chunks up, sweeps go through the fixed
 /// chunk kernels, which run as pool regions on a worker and serially
-/// elsewhere.
-const PARALLEL_THRESHOLD: usize = 2 * FIXED_CHUNK;
+/// elsewhere. It is also where a plane counts as large for
+/// [`crate::scratch::PlaneStore`]: such a sweep is shared by whichever
+/// workers are idle, so its plane need not stay in one worker's cache.
+pub const PARALLEL_THRESHOLD: usize = 2 * FIXED_CHUNK;
 
 /// A pure quantum state over the database address register.
 ///

@@ -29,24 +29,14 @@
 //! an unreferenced victim to replace. Long-lived serving processes therefore
 //! keep a warm working set instead of freezing on whatever filled the shard
 //! first (the pre-eviction behaviour was to refuse inserts when full).
-//!
-//! An optional **TTL** layers on top of the clock
-//! ([`ResultCache::with_capacity_and_ttl`], surfaced as
-//! `EngineConfig::result_cache_ttl` / `--result-cache-ttl-ms`): entries
-//! remember their insertion instant, a lookup that finds an entry older
-//! than the TTL reports a miss instead (counted in
-//! [`ResultCacheStats::expired`]) and strips the entry's referenced flag so
-//! the next clock sweep reclaims the slot. Expiry is lazy — a dead entry
-//! occupies its slot until a fresh insert refreshes it or the clock evicts
-//! it — which keeps the ring/map invariant trivial and adds no write-lock
-//! traffic to the hit path.
+//! Entries never expire: a result is a pure function of its key, so a
+//! cached one never goes stale, and the capacity alone bounds memory.
 
 use crate::spec::{Backend, SearchJob, SearchResult};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// Number of independently locked shards (power of two).
 const SHARD_COUNT: usize = 16;
@@ -120,9 +110,6 @@ pub struct ResultCacheStats {
     /// Resident results displaced by the second-chance clock to make room
     /// for new ones (zero until a shard fills).
     pub evictions: u64,
-    /// Lookups that found an entry older than the configured TTL and
-    /// treated it as a miss (always zero without a TTL).
-    pub expired: u64,
 }
 
 /// One resident result plus its second-chance referenced flag (set on hit
@@ -130,9 +117,6 @@ pub struct ResultCacheStats {
 struct Entry {
     result: SearchResult,
     referenced: AtomicBool,
-    /// When the result was (re)inserted; lookups compare this against the
-    /// cache's TTL.
-    inserted_at: Instant,
 }
 
 /// One lock's worth of the cache: the map plus the clock ring that orders
@@ -179,11 +163,8 @@ pub struct ResultCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    expired: AtomicU64,
     /// Per-shard entry bound (total capacity divided across shards).
     shard_capacity: usize,
-    /// Entries older than this are served as misses (see module docs).
-    ttl: Option<Duration>,
 }
 
 impl Default for ResultCache {
@@ -200,13 +181,6 @@ impl ResultCache {
     /// clock (recently hit entries get a pass; see module docs), so a
     /// long-lived process keeps the warm part of its working set.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_ttl(capacity, None)
-    }
-
-    /// As [`ResultCache::with_capacity`], with results additionally expiring
-    /// `ttl` after insertion (lazily — see module docs). `None` disables
-    /// expiry.
-    pub fn with_capacity_and_ttl(capacity: usize, ttl: Option<Duration>) -> Self {
         Self {
             shards: (0..SHARD_COUNT)
                 .map(|_| RwLock::new(Shard::new()))
@@ -214,9 +188,7 @@ impl ResultCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
             shard_capacity: capacity.div_ceil(SHARD_COUNT).max(1),
-            ttl,
         }
     }
 
@@ -236,33 +208,18 @@ impl ResultCache {
         let found = {
             let shard = self.shards[key.shard()].read();
             shard.map.get(key).map(|entry| {
-                if self
-                    .ttl
-                    .is_some_and(|ttl| entry.inserted_at.elapsed() > ttl)
-                {
-                    // Expired: report a miss and strip the referenced flag
-                    // so the clock's next sweep reclaims the slot first.
-                    entry.referenced.store(false, Ordering::Relaxed);
-                    None
-                } else {
-                    // Second chance: a hit marks the entry so the next
-                    // eviction sweep passes over it once.
-                    entry.referenced.store(true, Ordering::Relaxed);
-                    Some(entry.result)
-                }
+                // Second chance: a hit marks the entry so the next eviction
+                // sweep passes over it once.
+                entry.referenced.store(true, Ordering::Relaxed);
+                entry.result
             })
         };
         match found {
-            Some(Some(mut result)) => {
+            Some(mut result) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 result.job_id = job_id;
                 result.wall_time_us = 0.0;
                 Some(result)
-            }
-            Some(None) => {
-                self.expired.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -285,9 +242,6 @@ impl ResultCache {
         let mut shard = self.shards[key.shard()].write();
         if let Some(entry) = shard.map.get_mut(&key) {
             entry.result = result;
-            // A re-insert (including one that replaces an expired result)
-            // starts a fresh TTL window.
-            entry.inserted_at = Instant::now();
             return;
         }
         if shard.map.len() >= self.shard_capacity {
@@ -307,7 +261,6 @@ impl ResultCache {
                 // New entries start unreferenced: an entry earns its pass
                 // through a hit, not through mere insertion.
                 referenced: AtomicBool::new(false),
-                inserted_at: Instant::now(),
             },
         );
     }
@@ -326,7 +279,6 @@ impl ResultCache {
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.shards.iter().map(|s| s.read().map.len() as u64).sum(),
             evictions: self.evictions.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
         }
     }
 }
@@ -600,92 +552,12 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries_lazily_and_counts_them() {
-        let cache = ResultCache::with_capacity_and_ttl(64, Some(Duration::from_millis(20)));
-        let job = SearchJob::new(1, 1 << 10, 4, 9);
-        cache.insert(&job, Backend::Reduced, result_for(&job, Backend::Reduced));
-        assert!(
-            cache.lookup(&job, Backend::Reduced).is_some(),
-            "fresh entry hits"
-        );
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(
-            cache.lookup(&job, Backend::Reduced).is_none(),
-            "expired entry is served as a miss"
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.expired, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        // Expiry is lazy: the slot is still resident until refreshed or
-        // evicted by the clock.
-        assert_eq!(stats.entries, 1);
-        // A re-insert refreshes the TTL window and serves hits again.
-        cache.insert(&job, Backend::Reduced, result_for(&job, Backend::Reduced));
-        assert!(cache.lookup(&job, Backend::Reduced).is_some());
-        assert_eq!(cache.stats().expired, 1, "no further expiries");
-    }
-
-    #[test]
-    fn without_a_ttl_nothing_ever_expires() {
-        let cache = ResultCache::with_capacity(64);
-        let job = SearchJob::new(1, 1 << 10, 4, 9);
-        cache.insert(&job, Backend::Reduced, result_for(&job, Backend::Reduced));
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(cache.lookup(&job, Backend::Reduced).is_some());
-        assert_eq!(cache.stats().expired, 0);
-    }
-
-    #[test]
-    fn expired_entries_lose_their_second_chance_pass() {
-        // An expired entry must be reclaimable by the clock even though it
-        // was hit (and hence referenced) before expiring.
-        let cache = ResultCache::with_capacity_and_ttl(
-            SHARD_COUNT, // one entry per shard
-            Some(Duration::from_millis(10)),
-        );
-        let job = SearchJob::new(1, 1 << 10, 4, 9);
-        cache.insert(
-            &job,
-            Backend::StateVector,
-            result_for(&job, Backend::StateVector),
-        );
-        assert!(
-            cache.lookup(&job, Backend::StateVector).is_some(),
-            "referenced"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-        assert!(
-            cache.lookup(&job, Backend::StateVector).is_none(),
-            "expired"
-        );
-        // Insert a second key into the same shard: the expired entry is the
-        // clock victim because its referenced flag was stripped.
-        let shard = CacheKey::new(&job, Backend::StateVector).shard();
-        let other = (0..1024u64)
-            .map(|target| SearchJob::new(target, 1 << 10, 4, target))
-            .find(|candidate| {
-                let key = CacheKey::new(candidate, Backend::StateVector);
-                key.shard() == shard && key != CacheKey::new(&job, Backend::StateVector)
-            })
-            .expect("another key lands in the shard");
-        cache.insert(
-            &other,
-            Backend::StateVector,
-            result_for(&other, Backend::StateVector),
-        );
-        assert!(cache.lookup(&other, Backend::StateVector).is_some());
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
     fn stats_round_trip_through_json() {
         let stats = ResultCacheStats {
             hits: 5,
             misses: 2,
             entries: 2,
             evictions: 3,
-            expired: 1,
         };
         let json = serde_json::to_string(&stats).expect("serialise");
         let back: ResultCacheStats = serde_json::from_str(&json).expect("deserialise");

@@ -18,8 +18,6 @@ pub const ENGINE_FLAGS_HELP: &str = "  \
                                jobs re-execute; honest cold benchmarking)
   --result-cache-capacity N    approximate bound on cached results before
                                second-chance eviction kicks in (default 65536)
-  --result-cache-ttl-ms N      expire cached results N milliseconds after
-                               insertion (default: keep until evicted)
   --trace[=stderr|FILE]        emit per-stage NDJSON trace events
                                ({\"type\":\"trace\",...}) to stderr or FILE;
                                the PSQ_TRACE environment variable (same
@@ -40,8 +38,6 @@ pub struct EngineFlags {
     pub result_cache: bool,
     /// `--result-cache-capacity N`.
     pub result_cache_capacity: usize,
-    /// `--result-cache-ttl-ms N`; `None` keeps results until evicted.
-    pub result_cache_ttl_ms: Option<u64>,
     /// `--trace[=stderr|FILE]`: where the NDJSON trace stream goes
     /// (`"stderr"` or a file path); `None` leaves tracing disabled.
     pub trace: Option<String>,
@@ -53,7 +49,6 @@ impl Default for EngineFlags {
             threads: None,
             result_cache: true,
             result_cache_capacity: DEFAULT_RESULT_CACHE_CAPACITY,
-            result_cache_ttl_ms: None,
             trace: None,
         }
     }
@@ -80,10 +75,6 @@ impl EngineFlags {
             }
             "--result-cache-capacity" => {
                 self.result_cache_capacity = require_value(arg, args)?;
-                Ok(true)
-            }
-            "--result-cache-ttl-ms" => {
-                self.result_cache_ttl_ms = Some(require_value(arg, args)?);
                 Ok(true)
             }
             "--trace" => {
@@ -124,9 +115,6 @@ impl EngineFlags {
             threads: self.threads,
             result_cache: self.result_cache,
             result_cache_capacity: self.result_cache_capacity,
-            result_cache_ttl: self
-                .result_cache_ttl_ms
-                .map(std::time::Duration::from_millis),
         }
     }
 }
@@ -165,22 +153,15 @@ mod tests {
             "--no-result-cache",
             "--result-cache-capacity",
             "128",
-            "--result-cache-ttl-ms",
-            "1500",
         ])
         .expect("valid flags");
         assert_eq!(flags.threads, Some(3));
         assert!(!flags.result_cache);
         assert_eq!(flags.result_cache_capacity, 128);
-        assert_eq!(flags.result_cache_ttl_ms, Some(1500));
         let config = flags.engine_config();
         assert_eq!(config.threads, Some(3));
         assert!(!config.result_cache);
         assert_eq!(config.result_cache_capacity, 128);
-        assert_eq!(
-            config.result_cache_ttl,
-            Some(std::time::Duration::from_millis(1500))
-        );
     }
 
     #[test]
@@ -188,8 +169,6 @@ mod tests {
         assert!(parse(&["--threads"]).is_err());
         assert!(parse(&["--threads", "lots"]).is_err());
         assert!(parse(&["--result-cache-capacity", "-1"]).is_err());
-        assert!(parse(&["--result-cache-ttl-ms"]).is_err());
-        assert!(parse(&["--result-cache-ttl-ms", "soon"]).is_err());
     }
 
     #[test]
@@ -265,7 +244,6 @@ mod tests {
             config.result_cache_capacity,
             reference.result_cache_capacity
         );
-        assert_eq!(config.result_cache_ttl, reference.result_cache_ttl);
     }
 
     #[test]
@@ -274,7 +252,6 @@ mod tests {
             "--threads",
             "--no-result-cache",
             "--result-cache-capacity",
-            "--result-cache-ttl-ms",
             "--trace",
         ] {
             assert!(ENGINE_FLAGS_HELP.contains(flag), "help must cover {flag}");

@@ -28,7 +28,7 @@ use psq_obs::{clock, trace, LocalHistogram, Span};
 use psq_parallel::WorkerPool;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Engine construction options.
 #[derive(Clone, Copy, Debug)]
@@ -40,11 +40,6 @@ pub struct EngineConfig {
     pub result_cache: bool,
     /// Approximate bound on stored results when the cache is enabled.
     pub result_cache_capacity: usize,
-    /// Optional time-to-live for cached results: entries older than this
-    /// are served as misses and re-executed (lazy expiry on top of the
-    /// second-chance clock; expiries are counted in `ResultCacheStats`).
-    /// `None` (the default) keeps results until evicted.
-    pub result_cache_ttl: Option<Duration>,
 }
 
 impl Default for EngineConfig {
@@ -53,7 +48,6 @@ impl Default for EngineConfig {
             threads: None,
             result_cache: true,
             result_cache_capacity: DEFAULT_RESULT_CACHE_CAPACITY,
-            result_cache_ttl: None,
         }
     }
 }
@@ -99,12 +93,9 @@ impl Engine {
         Self {
             planner: Arc::new(Planner::new()),
             pool,
-            result_cache: config.result_cache.then(|| {
-                Arc::new(ResultCache::with_capacity_and_ttl(
-                    config.result_cache_capacity,
-                    config.result_cache_ttl,
-                ))
-            }),
+            result_cache: config
+                .result_cache
+                .then(|| Arc::new(ResultCache::with_capacity(config.result_cache_capacity))),
             obs: Arc::new(EngineObs::new()),
         }
     }
@@ -565,30 +556,6 @@ mod tests {
             assert_eq!(result.success_estimate, base.success_estimate);
             assert_eq!(result.trials_correct, base.trials_correct);
         }
-    }
-
-    #[test]
-    fn result_cache_ttl_re_executes_stale_results() {
-        let engine = Engine::new(EngineConfig {
-            threads: Some(1),
-            result_cache_ttl: Some(Duration::from_millis(20)),
-            ..EngineConfig::default()
-        });
-        let job = SearchJob::new(0, 1 << 12, 8, 100);
-        let first = engine.run_job(&job).expect("runs");
-        let warm = engine.run_job(&job).expect("hits while fresh");
-        assert_eq!(engine.result_cache_stats().hits, 1);
-        std::thread::sleep(Duration::from_millis(40));
-        let stale = engine.run_job(&job).expect("re-executes after expiry");
-        let stats = engine.result_cache_stats();
-        assert_eq!(stats.expired, 1, "the stale lookup was counted");
-        assert_eq!(stats.hits, 1, "expired lookups are not hits");
-        // Determinism makes the re-execution indistinguishable in content.
-        assert_eq!(first.deterministic_fields(), warm.deterministic_fields());
-        assert_eq!(first.deterministic_fields(), stale.deterministic_fields());
-        // The refreshed entry serves hits again.
-        engine.run_job(&job).expect("hits after refresh");
-        assert_eq!(engine.result_cache_stats().hits, 2);
     }
 
     #[test]

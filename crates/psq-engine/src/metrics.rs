@@ -44,11 +44,6 @@ impl EngineObs {
         self.execute[backend.index()].record(us);
     }
 
-    /// The execution-latency histogram for `backend`.
-    pub fn execute_histogram(&self, backend: Backend) -> &Histogram {
-        &self.execute[backend.index()]
-    }
-
     /// A serialisable point-in-time view (backends that never executed are
     /// omitted, so idle engines serialise compactly).
     pub fn snapshot(&self) -> EngineObsSnapshot {

@@ -19,8 +19,7 @@
 //!   Appendix B.
 //! * [`optimize`] — golden-section / grid minimisation used to tune the
 //!   partial-search parameter `ε` (the paper's "computer program").
-//! * [`stats`] — streaming statistics and histograms for Monte-Carlo
-//!   experiments.
+//! * [`stats`] — streaming statistics for Monte-Carlo experiments.
 //! * [`approx`] — tolerance-based comparisons, including the paper's
 //!   `O(1/√N)` "∼" relation.
 //! * [`bits`] — address/block arithmetic for `[N]` split into `K` blocks.
@@ -40,4 +39,4 @@ pub use approx::{approx_eq_abs, approx_eq_rel, assert_close};
 pub use complex::Complex64;
 pub use matrix::Matrix;
 pub use optimize::{golden_section_min, minimize, Minimum};
-pub use stats::{Histogram, RunningStats};
+pub use stats::RunningStats;

@@ -126,72 +126,6 @@ impl RunningStats {
     }
 }
 
-/// A fixed-width histogram over a closed interval, used by the Figure-5
-/// amplitude-histogram generator.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram interval is empty");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let bins = self.counts.len() as f64;
-            let idx = ((x - self.lo) / (self.hi - self.lo) * bins) as usize;
-            let idx = idx.min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper edge.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The centre of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-
-    /// Total number of in-range observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 /// Mean of a slice (`NaN` for an empty slice is avoided by returning 0).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -276,19 +210,6 @@ mod tests {
         let mut empty = RunningStats::new();
         empty.merge(&before);
         assert!((empty.mean() - before.mean()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for x in [0.1, 0.3, 0.35, 0.7, 0.99, -0.5, 1.0, 2.0] {
-            h.push(x);
-        }
-        assert_eq!(h.counts(), &[1, 2, 1, 1]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 5);
-        assert!((h.bin_center(0) - 0.125).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Lock-free latency histograms and the exact-percentile sample ring.
+//! Lock-free latency histograms and the exact nearest-rank percentile.
 //!
 //! [`Histogram`] is the always-on collector for the hot paths: recording is
 //! a handful of relaxed atomic adds (no locks, no allocation), so the
@@ -8,9 +8,8 @@
 //! the snapshot one shared histogram would have produced, which is what the
 //! planned multi-worker tier needs to aggregate per-process metrics.
 //!
-//! [`SampleRing`] and [`percentile`] are the exact-percentile pair promoted
-//! out of `psq-engine`/`psq-serve`: a bounded most-recent-samples window
-//! and the nearest-rank percentile both layers used to duplicate.
+//! [`percentile`] is the exact nearest-rank percentile promoted out of
+//! `psq-engine`/`psq-serve`, which both used to duplicate it.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -290,54 +289,6 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// A bounded window of the most recent samples, for exact percentiles where
-/// the sample rate is modest (promoted from the serving layer's latency
-/// ring; the serve hot path now records into [`Histogram`] instead).
-#[derive(Clone, Debug)]
-pub struct SampleRing {
-    capacity: usize,
-    samples: Vec<f64>,
-    next: usize,
-}
-
-impl SampleRing {
-    /// A ring retaining the `capacity` most recent samples.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            samples: Vec::new(),
-            next: 0,
-        }
-    }
-
-    /// Pushes one sample, overwriting the oldest once full.
-    pub fn record(&mut self, sample: f64) {
-        if self.samples.len() < self.capacity {
-            self.samples.push(sample);
-        } else {
-            self.samples[self.next] = sample;
-        }
-        self.next = (self.next + 1) % self.capacity;
-    }
-
-    /// Samples retained so far.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The retained samples sorted ascending, ready for [`percentile`].
-    pub fn sorted(&self) -> Vec<f64> {
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        sorted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,17 +413,6 @@ mod tests {
         assert_eq!(snap.count, 4000);
         assert_eq!(snap.buckets.iter().sum::<u64>(), 4000);
         assert_eq!(snap.max_us, 3999.0);
-    }
-
-    #[test]
-    fn sample_ring_keeps_the_most_recent_window() {
-        let mut ring = SampleRing::new(4);
-        assert!(ring.is_empty());
-        for sample in [9.0, 8.0, 7.0, 6.0, 5.0, 4.0] {
-            ring.record(sample);
-        }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.sorted(), vec![4.0, 5.0, 6.0, 7.0]);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! - [`hist`] — lock-free log2-bucketed latency [`Histogram`]s (atomic u64
 //!   buckets, safe to hammer from every worker thread), mergeable
 //!   [`HistogramSnapshot`]s with p50/p90/p99/max, the promoted nearest-rank
-//!   [`percentile`] helper, the bounded exact-sample [`SampleRing`], and
-//!   the unsynchronised [`LocalHistogram`] scratch tight loops flush into
-//!   a shared histogram once per batch.
+//!   [`percentile`] helper, and the unsynchronised [`LocalHistogram`]
+//!   scratch tight loops flush into a shared histogram once per batch.
 //! - [`window`] — rotating time-windowed histograms: N buckets-of-time over
 //!   the atomic [`Histogram`], so metrics report *recent* p50/p99 alongside
 //!   lifetime (what supervision and the planned self-calibrating planner
@@ -41,6 +40,6 @@ pub mod trace;
 pub mod window;
 
 pub use expo::Exposition;
-pub use hist::{percentile, Histogram, HistogramSnapshot, LocalHistogram, SampleRing};
+pub use hist::{percentile, Histogram, HistogramSnapshot, LocalHistogram};
 pub use trace::{event, event_traced, stage, Span};
 pub use window::WindowedHistogram;

@@ -421,28 +421,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let outcome = match &options.tcp {
-        Some(addr) => {
-            let listener = match std::net::TcpListener::bind(addr) {
-                Ok(listener) => listener,
-                Err(e) => {
-                    eprintln!("psq-router: cannot listen on {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!(
-                "psq-router: listening on {addr} with {} worker(s)",
-                options.config.workers
-            );
-            router.serve_tcp(listener)
-        }
-        None => {
-            let stdin = std::io::stdin();
-            router
-                .serve_pipe(stdin.lock(), std::io::stdout())
-                .map(|_| ())
-        }
-    };
+    let outcome = router.serve_stdio_or_tcp(options.tcp.as_deref(), "psq-router");
     let metrics = router.finish();
 
     if let Err(e) = outcome {

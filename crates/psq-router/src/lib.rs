@@ -2,8 +2,9 @@
 //!
 //! A single `psq-serve` process is fast but mortal; `psq-router` is the
 //! step from process to service. It spawns and supervises N `psq-serve`
-//! worker processes over pipes, speaks the *same* NDJSON protocol to
-//! clients, and turns worker failure from an outage into a capacity dip:
+//! worker processes over pipes, answers clients through psq-serve's own
+//! front end (`psq_serve::front`), and turns worker failure from an outage
+//! into a capacity dip:
 //!
 //! * [`router`] — the [`Router`]: rendezvous-hash routing on each job's
 //!   spec key (identical specs hit the same worker's warm result cache),

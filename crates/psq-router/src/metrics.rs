@@ -11,18 +11,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Always-on router counters and histograms (atomics; snapshot on demand).
 #[derive(Default)]
 pub struct RouterObs {
-    /// Jobs accepted from clients (admitted and routed, or shed).
+    /// Jobs that passed admission (then routed, or shed because every
+    /// worker was full).
     pub jobs_submitted: AtomicU64,
     /// Jobs answered with a result.
     pub jobs_completed: AtomicU64,
-    /// Jobs answered with an error (any kind).
+    /// Error replies of every kind but `overload`.
     pub jobs_errored: AtomicU64,
-    /// Jobs shed with an `overload` error because every worker was full.
+    /// `overload` replies: the client's in-flight bound, or every worker
+    /// full. With `jobs_errored`, this adds up to the error lines sent.
     pub jobs_overloaded: AtomicU64,
     /// Sweep requests expanded into per-point sub-jobs at the front tier.
     pub sweeps_expanded: AtomicU64,
-    /// Grid points those expansions routed (each also counts once in
-    /// `jobs_submitted`).
+    /// Grid points those expansions produced (each also counts once in
+    /// `jobs_submitted` once admitted).
     pub sweep_points: AtomicU64,
     /// Sweep requests refused for exceeding the point cap.
     pub sweeps_rejected: AtomicU64,
@@ -77,19 +79,19 @@ pub struct WorkerStatus {
 /// A serialisable snapshot of the router's counters and worker states.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct RouterMetrics {
-    /// Jobs accepted from clients.
+    /// Jobs that passed admission.
     pub jobs_submitted: u64,
     /// Jobs answered with a result.
     pub jobs_completed: u64,
-    /// Jobs answered with an error (any kind).
+    /// Error replies of every kind but `overload`.
     pub jobs_errored: u64,
-    /// Jobs shed with an `overload` error.
+    /// `overload` replies (the client's bound, or every worker full).
     pub jobs_overloaded: u64,
     /// Jobs admitted and not yet answered.
     pub queue_depth: u64,
     /// Sweep requests expanded into per-point sub-jobs.
     pub sweeps_expanded: u64,
-    /// Grid points routed by those expansions.
+    /// Grid points produced by those expansions.
     pub sweep_points: u64,
     /// Sweep requests refused for exceeding the point cap.
     pub sweeps_rejected: u64,
@@ -158,7 +160,7 @@ impl RouterMetrics {
     pub fn write_exposition(&self, expo: &mut Exposition) {
         expo.counter(
             "psq_router_jobs_submitted_total",
-            "Jobs accepted from clients.",
+            "Jobs that passed admission.",
             self.jobs_submitted,
         );
         expo.counter(
@@ -168,12 +170,12 @@ impl RouterMetrics {
         );
         expo.counter(
             "psq_router_jobs_errored_total",
-            "Jobs answered with an error.",
+            "Error replies of every kind but overload.",
             self.jobs_errored,
         );
         expo.counter(
             "psq_router_jobs_overloaded_total",
-            "Jobs shed with an overload error.",
+            "Overload replies (client bound or every worker full).",
             self.jobs_overloaded,
         );
         expo.counter(
@@ -183,7 +185,7 @@ impl RouterMetrics {
         );
         expo.counter(
             "psq_router_sweep_points_total",
-            "Grid points routed by sweep expansion.",
+            "Grid points produced by sweep expansion.",
             self.sweep_points,
         );
         expo.counter(

@@ -1,9 +1,11 @@
 //! The router core: sharded routing, supervision, deadlines, retries.
 //!
 //! One [`Router`] owns N worker slots, each running a child process that
-//! speaks the psq-serve NDJSON protocol over its pipes. Clients attach to
-//! the router exactly as they would to a single `psq-serve` — same
-//! requests, same tagged responses — and the router:
+//! speaks the psq-serve NDJSON protocol over its pipes. Clients reach the
+//! router through psq-serve's own front end ([`psq_serve::front`]: the
+//! transports, request lines, admission, sweep expansion and refusals), so
+//! they see exactly what a single `psq-serve` shows them. The router
+//! implements [`Tier`] for the rest:
 //!
 //! * routes each job by **rendezvous hash** of its spec key
 //!   ([`psq_engine::SearchJob::route_key`]), so identical specs land on
@@ -20,8 +22,8 @@
 //!   — every job is a pure function of its seeded spec, so a replay is
 //!   bit-identical and retries are safe (first answer wins, late
 //!   duplicates are counted and dropped);
-//! * sheds work as structured `overload` errors when every routable
-//!   worker is at its in-flight bound, and
+//! * sheds an admitted job as a structured `overload` error when every
+//!   routable worker is at its in-flight bound, and
 //! * supports drain-aware rolling restarts: `{"cmd":"restart"}` drains
 //!   each worker in turn (stop routing → flush in-flight → respawn) with
 //!   zero lost or duplicated answers.
@@ -31,14 +33,13 @@ use crate::metrics::{RouterMetrics, RouterObs, WorkerStatus};
 use crate::worker::{WorkerEvent, WorkerLink};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use psq_engine::{SearchJob, SweepSpec};
+use psq_engine::SearchJob;
 use psq_obs::{stage, trace};
-use psq_serve::protocol::{parse_request, parse_response, Command, ErrorKind, Request, Response};
-use psq_serve::server::spawn_writer;
-use psq_serve::session::{OutLine, Session, SessionRegistry};
-use psq_serve::LineOutcome;
+use psq_serve::front::{self, Counted, Front, PipeSummary, Tier};
+use psq_serve::protocol::{parse_response, ErrorKind, Response};
+use psq_serve::session::{OutLine, Session};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -269,10 +270,13 @@ struct Shared {
     config: RouterConfig,
     obs: RouterObs,
     state: Mutex<State>,
-    registry: SessionRegistry,
-    shutdown: AtomicBool,
+    /// The client-facing front end; its drain flag stops admission.
+    front: Front,
+    /// Set when the router is dropped: the dispatcher and the supervisor
+    /// stop. A drain leaves both running, so every job admitted before it
+    /// is still answered, retried or respawned for.
+    stopped: AtomicBool,
     restart_running: AtomicBool,
-    started: Instant,
     next_router_id: AtomicU64,
     /// Seed folded into minted trace ids so distinct router instances
     /// (and restarts) mint distinct id streams.
@@ -426,7 +430,7 @@ impl Shared {
         }
         .to_line();
         pending.session.fail();
-        RouterObs::bump(&self.obs.jobs_errored);
+        self.count(Counted::for_error(kind));
         pending.session.send(line);
     }
 
@@ -590,7 +594,7 @@ impl Shared {
         }
         let workers = self.state.lock().slots.len();
         for slot_index in 0..workers {
-            if self.shutdown.load(Ordering::SeqCst) {
+            if self.front.draining() {
                 break;
             }
             let target_generation = {
@@ -602,7 +606,7 @@ impl Shared {
             };
             self.drain_worker(slot_index);
             let wait_until = Instant::now() + Duration::from_secs(30);
-            while Instant::now() < wait_until && !self.shutdown.load(Ordering::SeqCst) {
+            while Instant::now() < wait_until && !self.front.draining() {
                 let state = self.state.lock();
                 let slot = &state.slots[slot_index];
                 if slot.phase == Phase::Up && slot.generation >= target_generation {
@@ -798,10 +802,8 @@ impl Shared {
         for slot_index in kills {
             self.enforce_kill(slot_index);
         }
-        if !self.shutdown.load(Ordering::SeqCst) {
-            for slot_index in respawns {
-                self.respawn(slot_index);
-            }
+        for slot_index in respawns {
+            self.respawn(slot_index);
         }
         for router_id in expired {
             self.retry_or_fail(router_id, true);
@@ -811,20 +813,7 @@ impl Shared {
         }
     }
 
-    // ----- front-tier ----------------------------------------------------
-
-    /// Router-level health (status, queue depth, uptime) from atomics.
-    fn health(&self) -> Response {
-        Response::Health {
-            status: if self.shutdown.load(Ordering::SeqCst) {
-                "draining".to_string()
-            } else {
-                "ok".to_string()
-            },
-            queue_depth: self.state.lock().pending.len() as u64,
-            uptime_us: self.started.elapsed().as_micros() as u64,
-        }
-    }
+    // ----- metrics -------------------------------------------------------
 
     /// Snapshot of the router's counters and worker states, with the
     /// fleet-merged serving view folded from each slot's latest scrape.
@@ -857,54 +846,25 @@ impl Shared {
             });
         metrics
     }
+}
 
-    /// Admits and routes one job from `session`. `trace` is the trace id
-    /// the client's line carried; absent one, the router mints its own, so
+/// The router's side of the shared front end: an admitted job is routed,
+/// or shed when the whole fleet is full.
+impl Tier for Shared {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    /// Routes one admitted job from `session`. `trace` is the trace id the
+    /// client's line carried; absent one, the router mints its own, so
     /// every routed job has a fleet-wide causal chain.
-    fn submit_job(&self, session: &Arc<Session>, job: SearchJob, trace: Option<u64>) {
+    fn submit(
+        &self,
+        session: &Arc<Session>,
+        job: SearchJob,
+        trace: Option<u64>,
+    ) -> Result<(), String> {
         RouterObs::bump(&self.obs.jobs_submitted);
-        // Every refusal is counted before it is sent (see `answer_error`).
-        if let Err(reason) = job.validate() {
-            session.count_intake_error();
-            RouterObs::bump(&self.obs.jobs_errored);
-            session.send(
-                Response::Error {
-                    id: Some(job.id),
-                    kind: ErrorKind::Invalid,
-                    reason,
-                }
-                .to_line(),
-            );
-            return;
-        }
-        if self.shutdown.load(Ordering::SeqCst) {
-            session.count_intake_error();
-            RouterObs::bump(&self.obs.jobs_errored);
-            session.send(
-                Response::Error {
-                    id: Some(job.id),
-                    kind: ErrorKind::ShuttingDown,
-                    reason: "router is draining".to_string(),
-                }
-                .to_line(),
-            );
-            return;
-        }
-        if !session.try_admit() {
-            RouterObs::bump(&self.obs.jobs_overloaded);
-            session.send(
-                Response::Error {
-                    id: Some(job.id),
-                    kind: ErrorKind::Overload,
-                    reason: format!(
-                        "client has {} jobs in flight (the per-client bound)",
-                        self.config.max_inflight
-                    ),
-                }
-                .to_line(),
-            );
-            return;
-        }
         let route_key = job.route_key();
         let client_id = job.id;
         let router_id = self.next_router_id.fetch_add(1, Ordering::Relaxed);
@@ -924,7 +884,7 @@ impl Shared {
         wire_job.id = router_id;
         let line = psq_serve::protocol::job_line(&wire_job, Some(trace_id));
         let now = Instant::now();
-        let routable = {
+        {
             let mut state = self.state.lock();
             // Admit when a worker can take the job now, or when the whole
             // fleet is momentarily down but recovering (the job parks and
@@ -935,181 +895,62 @@ impl Shared {
                 .slots
                 .iter()
                 .any(|slot| matches!(slot.phase, Phase::Down | Phase::Draining));
-            let routable =
-                self.choose_slot(&state, route_key, None).is_some() || (!any_up && any_recovering);
-            if routable {
-                state.pending.insert(
-                    router_id,
-                    Pending {
-                        client_id,
-                        session: Arc::clone(session),
-                        line,
-                        route_key,
-                        trace: trace_id,
-                        slot: None,
-                        attempts: 1,
-                        deadline: now + self.config.deadline,
-                        dispatched: now,
-                        started: now,
-                    },
-                );
+            if self.choose_slot(&state, route_key, None).is_none() && (any_up || !any_recovering) {
+                return Err("every worker is at its in-flight bound".to_string());
             }
-            routable
-        };
-        if !routable {
-            // Every worker is saturated or broken: shed instead of queueing
-            // unbounded work the fleet cannot absorb.
-            session.fail();
-            RouterObs::bump(&self.obs.jobs_overloaded);
-            RouterObs::bump(&self.obs.jobs_errored);
-            session.send(
-                Response::Error {
-                    id: Some(client_id),
-                    kind: ErrorKind::Overload,
-                    reason: "every worker is at its in-flight bound".to_string(),
-                }
-                .to_line(),
+            state.pending.insert(
+                router_id,
+                Pending {
+                    client_id,
+                    session: Arc::clone(session),
+                    line,
+                    route_key,
+                    trace: trace_id,
+                    slot: None,
+                    attempts: 1,
+                    deadline: now + self.config.deadline,
+                    dispatched: now,
+                    started: now,
+                },
             );
-            return;
         }
         self.dispatch(router_id, None);
+        Ok(())
     }
 
-    /// Expands one sweep request and routes every grid point through
-    /// [`Shared::submit_job`]: each point is admitted on its own, counted
-    /// against its worker's in-flight bound, given its own deadline budget,
-    /// and — because every point is a pure function of its seeded spec —
-    /// retried bit-identically on another worker if its worker dies. An
-    /// oversized grid is refused whole, before any point is admitted.
-    fn submit_sweep(
-        &self,
-        session: &Arc<Session>,
-        base: SearchJob,
-        spec: &SweepSpec,
-        trace: Option<u64>,
-    ) {
-        let points = spec.point_count();
-        if points > self.config.max_sweep_points {
-            RouterObs::bump(&self.obs.sweeps_rejected);
-            RouterObs::bump(&self.obs.jobs_errored);
-            session.count_intake_error();
-            session.send(
-                Response::Error {
-                    id: Some(base.id),
-                    kind: ErrorKind::SweepTooLarge,
-                    reason: format!(
-                        "sweep expands to {points} grid points (cap {}); \
-                         split the grid across requests",
-                        self.config.max_sweep_points
-                    ),
-                }
-                .to_line(),
-            );
-            return;
-        }
-        let span = trace::Span::enter_always(stage::SWEEP_EXPAND);
-        let expanded = spec.expand(&base);
-        span.finish_traced(base.id, trace);
-        let jobs = match expanded {
-            Ok(jobs) => jobs,
-            Err(reason) => {
-                RouterObs::bump(&self.obs.jobs_errored);
-                session.count_intake_error();
-                session.send(
-                    Response::Error {
-                        id: Some(base.id),
-                        kind: ErrorKind::Invalid,
-                        reason,
-                    }
-                    .to_line(),
-                );
-                return;
-            }
-        };
-        RouterObs::bump(&self.obs.sweeps_expanded);
-        self.obs
-            .sweep_points
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        for job in jobs {
-            self.submit_job(session, job, trace);
-        }
-    }
-}
-
-/// A client handle onto the router (mirrors [`psq_serve::Client`]).
-pub struct RouterClient {
-    session: Arc<Session>,
-    shared: Arc<Shared>,
-}
-
-impl RouterClient {
-    /// This client's session (for transports installing kick hooks).
-    pub fn session(&self) -> &Arc<Session> {
-        &self.session
-    }
-
-    /// Feeds one request line; the answer arrives on the response channel.
-    pub fn submit_line(&self, line: &str) -> LineOutcome {
-        match parse_request(line) {
-            Err(reason) => {
-                self.session.count_intake_error();
-                RouterObs::bump(&self.shared.obs.jobs_errored);
-                self.session.send(
-                    Response::Error {
-                        id: None,
-                        kind: ErrorKind::Parse,
-                        reason,
-                    }
-                    .to_line(),
-                );
-                LineOutcome::Continue
-            }
-            Ok(None) => LineOutcome::Continue,
-            Ok(Some(Request::Command(Command::Metrics))) => {
-                self.session.send(self.shared.metrics().to_line());
-                LineOutcome::Continue
-            }
-            Ok(Some(Request::Command(Command::Health))) => {
-                self.session.send(self.shared.health().to_line());
-                LineOutcome::Continue
-            }
-            // Router-only vocabulary: workers never see it.
-            Ok(Some(Request::Command(Command::Restart))) => {
-                let shared = Arc::clone(&self.shared);
-                std::thread::Builder::new()
-                    .name("psq-router-restart".to_string())
-                    .spawn(move || shared.rolling_restart())
-                    .expect("failed to spawn the restart thread");
-                self.session.send(
-                    Response::Ack {
-                        cmd: Command::Restart.label().to_string(),
-                    }
-                    .to_line(),
-                );
-                LineOutcome::Continue
-            }
-            Ok(Some(Request::Command(command @ (Command::Drain | Command::Shutdown)))) => {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-                self.session.send(
-                    Response::Ack {
-                        cmd: command.label().to_string(),
-                    }
-                    .to_line(),
-                );
-                self.shared.registry.kick_all();
-                LineOutcome::Stop
-            }
-            Ok(Some(Request::Job { job, trace })) => {
-                self.shared.submit_job(&self.session, *job, trace);
-                LineOutcome::Continue
-            }
-            Ok(Some(Request::Sweep { base, spec, trace })) => {
-                self.shared.submit_sweep(&self.session, *base, &spec, trace);
-                LineOutcome::Continue
+    fn count(&self, counted: Counted) {
+        let obs = &self.obs;
+        match counted {
+            Counted::Error => RouterObs::bump(&obs.jobs_errored),
+            Counted::Overload => RouterObs::bump(&obs.jobs_overloaded),
+            Counted::SweepTooLarge => RouterObs::bump(&obs.sweeps_rejected),
+            Counted::Sweep(points) => {
+                RouterObs::bump(&obs.sweeps_expanded);
+                obs.sweep_points.fetch_add(points, Ordering::Relaxed);
             }
         }
     }
+
+    fn metrics_line(&self) -> String {
+        self.metrics().to_line()
+    }
+
+    fn queue_depth(&self) -> u64 {
+        self.state.lock().pending.len() as u64
+    }
+
+    /// Router-only vocabulary: workers never see it.
+    fn restart(self: Arc<Self>) -> bool {
+        std::thread::Builder::new()
+            .name("psq-router-restart".to_string())
+            .spawn(move || self.rolling_restart())
+            .expect("failed to spawn the restart thread");
+        true
+    }
 }
+
+/// A client handle onto the router: the shared front end's client.
+pub type RouterClient = psq_serve::Client;
 
 /// The fault-tolerant sharded front tier (see the module docs).
 pub struct Router {
@@ -1126,6 +967,12 @@ impl Router {
         let (events, events_rx): (Sender<WorkerEvent>, Receiver<WorkerEvent>) = unbounded();
         let now = Instant::now();
         let worker_count = config.workers;
+        let front = Front::new(
+            "router",
+            config.max_inflight,
+            config.idle_timeout,
+            config.max_sweep_points,
+        );
         let shared = Arc::new(Shared {
             config,
             obs: RouterObs::default(),
@@ -1133,10 +980,9 @@ impl Router {
                 slots: (0..worker_count).map(|_| Slot::new(now)).collect(),
                 pending: HashMap::new(),
             }),
-            registry: SessionRegistry::default(),
-            shutdown: AtomicBool::new(false),
+            front,
+            stopped: AtomicBool::new(false),
             restart_running: AtomicBool::new(false),
-            started: now,
             next_router_id: AtomicU64::new(1),
             trace_seed: trace::epoch_us(),
             events,
@@ -1164,7 +1010,7 @@ impl Router {
                             }
                         }
                         Err(_) => {
-                            if shared.shutdown.load(Ordering::SeqCst) {
+                            if shared.stopped.load(Ordering::SeqCst) {
                                 break;
                             }
                         }
@@ -1177,7 +1023,7 @@ impl Router {
             std::thread::Builder::new()
                 .name("psq-router-supervise".to_string())
                 .spawn(move || {
-                    while !shared.shutdown.load(Ordering::SeqCst) {
+                    while !shared.stopped.load(Ordering::SeqCst) {
                         shared.tick();
                         std::thread::sleep(Duration::from_millis(5));
                     }
@@ -1194,18 +1040,7 @@ impl Router {
     /// Attaches a front-tier client; drain the receiver from a writer
     /// thread (or directly, in process).
     pub fn attach(&self) -> (RouterClient, Receiver<OutLine>) {
-        let (tx, rx) = unbounded();
-        let session = self
-            .shared
-            .registry
-            .attach(tx, self.shared.config.max_inflight);
-        (
-            RouterClient {
-                session,
-                shared: Arc::clone(&self.shared),
-            },
-            rx,
-        )
+        front::attach(self.shared.clone())
     }
 
     /// A metrics snapshot (the same data a `{"cmd":"metrics"}` line gets).
@@ -1240,7 +1075,7 @@ impl Router {
 
     /// Whether a drain/shutdown command has been observed.
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.front.draining()
     }
 
     /// The slot a job would route to right now (tests and diagnostics).
@@ -1274,94 +1109,25 @@ impl Router {
     }
 
     /// Serves one client over a reader/writer pair until EOF or a
-    /// drain/shutdown command (mirrors [`psq_serve::Server::serve_pipe`]).
-    pub fn serve_pipe<R, W>(&self, reader: R, writer: W) -> std::io::Result<psq_serve::PipeSummary>
+    /// drain/shutdown command ([`front::serve_pipe`]).
+    pub fn serve_pipe<R, W>(&self, reader: R, writer: W) -> std::io::Result<PipeSummary>
     where
         R: BufRead,
         W: Write + Send + 'static,
     {
-        let (client, responses) = self.attach();
-        let writer_thread = spawn_writer("psq-router-pipe-writer", responses, writer);
-        let mut summary = psq_serve::PipeSummary::default();
-        for line in reader.lines() {
-            let line = line?;
-            summary.lines_in += 1;
-            if client.submit_line(&line) == LineOutcome::Stop {
-                summary.shutdown_requested = true;
-                break;
-            }
-        }
-        drop(client); // the writer exits once every in-flight job is answered
-        writer_thread
-            .join()
-            .map_err(|_| std::io::Error::other("router pipe writer panicked"))??;
-        Ok(summary)
+        front::serve_pipe(self.shared.clone(), reader, writer)
     }
 
-    /// Accepts TCP clients until a drain/shutdown command arrives (mirrors
-    /// [`psq_serve::Server::serve_tcp`], idle timeout included).
+    /// Accepts TCP clients until a drain/shutdown command arrives
+    /// ([`front::serve_tcp`], idle timeout included).
     pub fn serve_tcp(&self, listener: std::net::TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(self.shared.config.idle_timeout)?;
-                    let (client, responses) = self.attach();
-                    let write_half = stream.try_clone()?;
-                    let kick_half = stream.try_clone()?;
-                    client.session().set_kick(Box::new(move || {
-                        let _ = kick_half.shutdown(std::net::Shutdown::Read);
-                    }));
-                    connections.push(
-                        std::thread::Builder::new()
-                            .name("psq-router-tcp-conn".to_string())
-                            .spawn(move || {
-                                let writer_thread =
-                                    spawn_writer("psq-router-tcp-writer", responses, write_half);
-                                let mut reader = BufReader::new(&stream);
-                                let mut line = String::new();
-                                loop {
-                                    line.clear();
-                                    match reader.read_line(&mut line) {
-                                        Ok(0) => break,
-                                        Ok(_) => {
-                                            let trimmed = line.trim_end_matches(['\n', '\r']);
-                                            if client.submit_line(trimmed) == LineOutcome::Stop {
-                                                break;
-                                            }
-                                        }
-                                        Err(e)
-                                            if matches!(
-                                                e.kind(),
-                                                std::io::ErrorKind::WouldBlock
-                                                    | std::io::ErrorKind::TimedOut
-                                            ) =>
-                                        {
-                                            break; // idle client: clean close
-                                        }
-                                        Err(_) => break,
-                                    }
-                                }
-                                drop(client);
-                                let _ = writer_thread.join();
-                                let _ = stream.shutdown(std::net::Shutdown::Both);
-                            })
-                            .map_err(std::io::Error::other)?,
-                    );
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    connections.retain(|connection| !connection.is_finished());
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        for connection in connections {
-            let _ = connection.join();
-        }
-        Ok(())
+        front::serve_tcp(self.shared.clone(), listener)
+    }
+
+    /// Serves the process's clients over TCP on `tcp`, or else on
+    /// stdin/stdout ([`front::serve_stdio_or_tcp`]).
+    pub fn serve_stdio_or_tcp(&self, tcp: Option<&str>, program: &str) -> std::io::Result<()> {
+        front::serve_stdio_or_tcp(self.shared.clone(), tcp, program)
     }
 
     /// Waits (bounded) for in-flight work to drain, then shuts the fleet
@@ -1383,7 +1149,8 @@ impl Router {
 
 impl Drop for Router {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.front.drain();
+        self.shared.stopped.store(true, Ordering::SeqCst);
         if let Some(supervisor) = self.supervisor.take() {
             let _ = supervisor.join();
         }
@@ -1410,7 +1177,7 @@ impl Drop for Router {
         if let Some(dispatcher) = self.dispatcher.take() {
             let _ = dispatcher.join();
         }
-        self.shared.registry.kick_all();
+        self.shared.front.registry().kick_all();
     }
 }
 

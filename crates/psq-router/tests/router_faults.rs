@@ -6,7 +6,8 @@
 //! their seeded specs.
 
 use psq_engine::{
-    generate_mixed_batch, Backend, Engine, EngineConfig, SearchJob, SearchResult, SweepSpec,
+    generate_mixed_batch, Backend, BackendHint, Engine, EngineConfig, SearchJob, SearchResult,
+    SweepSpec,
 };
 use psq_router::{FaultPlan, Router, RouterConfig, RouterMetrics};
 use psq_serve::protocol::{parse_response, ErrorKind, Response};
@@ -460,6 +461,11 @@ fn saturated_fleet_sheds_jobs_as_structured_overload_errors() {
     assert_eq!(completed + shed, 8, "every id answered exactly once");
     assert!(shed >= 1, "a one-deep worker cannot absorb 8 queued jobs");
     assert_eq!(metrics.jobs_overloaded, shed);
+    assert_eq!(
+        metrics.jobs_errored + metrics.jobs_overloaded,
+        shed,
+        "the counters add up to the error lines sent"
+    );
 }
 
 /// Splices a `"sweep"` field into a serialised base job, the same way a
@@ -585,6 +591,11 @@ fn sweep_points_count_against_the_worker_inflight_bound() {
     );
     assert_eq!(metrics.sweep_points, 8);
     assert_eq!(metrics.jobs_overloaded, shed);
+    assert_eq!(
+        metrics.jobs_errored + metrics.jobs_overloaded,
+        shed,
+        "the counters add up to the error lines sent"
+    );
 }
 
 /// An oversized sweep is refused whole with a structured error — no point
@@ -612,6 +623,151 @@ fn oversized_sweeps_are_refused_before_any_point_routes() {
     let metrics = router.finish();
     assert_eq!(metrics.sweeps_rejected, 1);
     assert_eq!(metrics.jobs_submitted, 0, "no point was admitted");
+}
+
+/// A shutdown stops admission only: a job still running when the command
+/// lands is answered before the session ends, and the router then stops.
+#[test]
+fn shutdown_answers_the_job_still_in_flight() {
+    // Heavy enough (about a second in a debug build) that the worker stays
+    // silent for a while after the shutdown command.
+    let job = SearchJob {
+        trials: 4,
+        ..SearchJob::new(1, 1 << 16, 4, 4321).with_backend(BackendHint::StateVector)
+    };
+    let input = format!(
+        "{}\n{{\"cmd\":\"shutdown\"}}\n",
+        serde_json::to_string(&job).expect("serialises")
+    );
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let router = Router::start(test_config(1));
+        let sink = SharedSink::default();
+        let summary = router
+            .serve_pipe(input.as_bytes(), sink.clone())
+            .expect("pipe session");
+        let _ = done.send((summary, sink.lines(), router.finish()));
+    });
+    let (summary, lines, metrics) = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the in-flight job is answered and the session ends");
+    assert!(summary.shutdown_requested);
+    let mut routed = HashMap::new();
+    for line in &lines {
+        match parse_response(line).expect("well-formed response line") {
+            Response::Result(result) => assert!(routed.insert(result.job_id, *result).is_none()),
+            Response::Ack { cmd } => assert_eq!(cmd, "shutdown"),
+            other => panic!("expected a result and the ack, got {other:?}"),
+        }
+    }
+    assert_eq!(lines.len(), 2);
+    assert_bit_identical(&routed, std::slice::from_ref(&job));
+    assert_eq!(metrics.jobs_completed, 1);
+}
+
+/// The router's TCP front: two clients at once, reusing the same local ids,
+/// are each answered exactly once and bit-identically to a direct run; a
+/// silent third client is closed by the idle timeout, after the job it left
+/// in flight is answered.
+#[test]
+fn tcp_clients_are_answered_once_and_a_silent_one_is_closed() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    let mut config = test_config(2);
+    config.idle_timeout = Some(Duration::from_millis(200));
+    let router = Router::start(config);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().expect("bound address");
+    let streams: Vec<Vec<SearchJob>> = (1..=2)
+        .map(|seed| {
+            let mut jobs = generate_mixed_batch(16, 700 + seed);
+            for (local, job) in jobs.iter_mut().enumerate() {
+                job.id = local as u64;
+            }
+            jobs
+        })
+        .collect();
+    let send = |stream: &mut TcpStream, line: &str| {
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write a request line");
+        stream.flush().expect("flush");
+    };
+    let read_result = |reader: &mut BufReader<TcpStream>| -> SearchResult {
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).expect("read a reply") > 0,
+            "the connection closed before every result arrived"
+        );
+        match parse_response(line.trim_end()).expect("well-formed response line") {
+            Response::Result(result) => *result,
+            other => panic!("expected a result, got {other:?}"),
+        }
+    };
+    let run_client = |jobs: &[SearchJob]| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+        for job in jobs {
+            send(
+                &mut stream,
+                &serde_json::to_string(job).expect("jobs serialise"),
+            );
+        }
+        let mut routed: HashMap<u64, SearchResult> = HashMap::new();
+        while routed.len() < jobs.len() {
+            let result = read_result(&mut reader);
+            let id = result.job_id;
+            assert!(
+                routed.insert(id, result).is_none(),
+                "id {id} answered twice"
+            );
+        }
+        routed
+    };
+    std::thread::scope(|scope| {
+        let serve = scope.spawn(|| router.serve_tcp(listener));
+        let first = scope.spawn(|| run_client(&streams[0]));
+        let second = run_client(&streams[1]);
+        let first = first.join().expect("first client thread");
+        assert_bit_identical(&first, &streams[0]);
+        assert_bit_identical(&second, &streams[1]);
+
+        // A silent client: one job (heavy enough to outlast the idle
+        // timeout in a debug build), then nothing. The result still comes
+        // first, then the router closes the connection.
+        let mut silent = TcpStream::connect(addr).expect("connect the silent client");
+        let mut reader = BufReader::new(silent.try_clone().expect("clone the stream"));
+        let job = SearchJob {
+            trials: 4,
+            ..SearchJob::new(3, 1 << 16, 4, 4321).with_backend(BackendHint::StateVector)
+        };
+        send(
+            &mut silent,
+            &serde_json::to_string(&job).expect("serialises"),
+        );
+        assert_bit_identical(
+            &HashMap::from([(3, read_result(&mut reader))]),
+            std::slice::from_ref(&job),
+        );
+        let waited = Instant::now();
+        let mut line = String::new();
+        assert_eq!(
+            reader.read_line(&mut line).expect("a clean close"),
+            0,
+            "the idle session is closed, not left hanging: {line}"
+        );
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "the close came from the idle timeout"
+        );
+
+        let mut closer = TcpStream::connect(addr).expect("connect the closer");
+        send(&mut closer, "{\"cmd\":\"shutdown\"}");
+        serve.join().expect("serve thread").expect("clean exit");
+    });
+    let metrics = router.finish();
+    assert_eq!(metrics.jobs_completed, 33);
+    assert_eq!(metrics.jobs_errored + metrics.jobs_overloaded, 0);
 }
 
 /// The CI smoke in binary form: `--selftest` with a kill fault must verify

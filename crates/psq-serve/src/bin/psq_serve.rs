@@ -236,26 +236,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let outcome = match &options.tcp {
-        Some(addr) => {
-            let listener = match std::net::TcpListener::bind(addr) {
-                Ok(listener) => listener,
-                Err(e) => {
-                    eprintln!("psq-serve: cannot listen on {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!("psq-serve: listening on {addr}");
-            server.serve_tcp(listener)
-        }
-        None => {
-            let stdin = std::io::stdin();
-            server
-                .serve_pipe(stdin.lock(), std::io::stdout())
-                .map(|_| ())
-        }
-    };
-
+    let outcome = server.serve_stdio_or_tcp(options.tcp.as_deref(), "psq-serve");
     let metrics = server.metrics();
     server.finish();
 

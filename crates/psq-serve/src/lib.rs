@@ -17,9 +17,14 @@
 //! * [`session`] — per-client state: response channel, bounded in-flight
 //!   admission control (overload answers are JSON errors, never
 //!   disconnects), lifetime counters;
-//! * [`server`] — the [`Server`]: one shared [`psq_engine::EngineHandle`],
-//!   the scheduler thread, and the two transports (stdin/stdout pipe and
-//!   multi-client `std::net` TCP), with graceful drain-on-shutdown;
+//! * [`front`] — the client-facing front end psq-serve and psq-router
+//!   share: the two transports (stdin/stdout pipe and multi-client
+//!   `std::net` TCP with an idle timeout), one parse per request line,
+//!   commands, admission and sweep expansion, generic over the
+//!   [`front::Tier`] each of them implements;
+//! * [`server`] — the [`Server`]: one shared [`psq_engine::EngineHandle`]
+//!   and the scheduler thread behind the front, with graceful
+//!   drain-on-shutdown;
 //! * [`metrics`] — [`ServeMetrics`]: queue depth, coalesced batch sizes,
 //!   per-client counters, and lock-free `psq-obs` latency histograms —
 //!   end-to-end latency, coalescer dwell, and the shared engine's
@@ -36,6 +41,7 @@
 //! ```
 
 pub mod coalescer;
+pub mod front;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
@@ -43,7 +49,8 @@ pub mod session;
 pub mod testio;
 
 pub use coalescer::CoalescerConfig;
+pub use front::{Client, LineOutcome, PipeSummary};
 pub use metrics::{ClientCounters, ServeMetrics};
 pub use protocol::{parse_request, parse_response, Command, ErrorKind, Request, Response};
-pub use server::{Client, LineOutcome, PipeSummary, ServeConfig, Server};
+pub use server::{ServeConfig, Server};
 pub use session::{Session, SessionRegistry};

@@ -36,9 +36,10 @@ pub struct ClientCounters {
     pub submitted: u64,
     /// Jobs answered with a result.
     pub completed: u64,
-    /// Jobs answered with an error (parse / invalid / rejected).
+    /// Error replies of every kind but `overload` (parse / invalid /
+    /// rejected / ...).
     pub errors: u64,
-    /// Jobs refused by admission control (in-flight bound).
+    /// `overload` replies (the in-flight bound).
     pub overloaded: u64,
 }
 
@@ -49,9 +50,11 @@ pub struct ServeMetrics {
     pub jobs_submitted: u64,
     /// Jobs answered with a result.
     pub jobs_completed: u64,
-    /// Jobs answered with an error (parse / invalid / rejected / shutdown).
+    /// Error replies of every kind but `overload` (parse / invalid /
+    /// sweep_too_large / rejected / internal / shutting_down).
     pub jobs_errored: u64,
-    /// Jobs refused by per-client admission control.
+    /// `overload` replies (per-client admission control). With
+    /// `jobs_errored`, this adds up to the error lines sent.
     pub jobs_overloaded: u64,
     /// Sweep requests expanded into per-point sub-jobs.
     pub sweeps_expanded: u64,
@@ -157,7 +160,6 @@ impl ServeMetrics {
         self.result_cache.misses += other.result_cache.misses;
         self.result_cache.entries += other.result_cache.entries;
         self.result_cache.evictions += other.result_cache.evictions;
-        self.result_cache.expired += other.result_cache.expired;
         self.plan_cache.hits += other.plan_cache.hits;
         self.plan_cache.misses += other.plan_cache.misses;
         self.plan_cache.entries += other.plan_cache.entries;
@@ -183,12 +185,12 @@ impl ServeMetrics {
         );
         expo.counter(
             &name("jobs_errored_total"),
-            "Jobs answered with an error.",
+            "Error replies of every kind but overload.",
             self.jobs_errored,
         );
         expo.counter(
             &name("jobs_overloaded_total"),
-            "Jobs refused by admission control.",
+            "Overload replies from admission control.",
             self.jobs_overloaded,
         );
         expo.counter(
@@ -367,7 +369,8 @@ impl ServeStats {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// A request errored before admission (parse/validation failures).
+    /// A request errored before admission (parse, validation, draining,
+    /// oversized or invalid sweeps).
     pub fn record_rejected_at_intake(&self) {
         self.jobs_errored.fetch_add(1, Ordering::Relaxed);
     }
@@ -543,9 +546,8 @@ mod tests {
     #[test]
     fn latency_histogram_is_cumulative_and_bounded() {
         let stats = ServeStats::default();
-        // The histogram keeps constant memory however many samples arrive —
-        // every sample still counts (unlike the old bounded ring, which
-        // aged samples out; `psq_obs::SampleRing` remains for windowed use).
+        // The histogram keeps constant memory however many samples arrive,
+        // and every sample still counts.
         for _ in 0..100_000 {
             stats.record_submitted();
             stats.record_completed(5.0);

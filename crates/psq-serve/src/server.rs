@@ -1,19 +1,13 @@
-//! The persistent server: intake, sessions, transports, shutdown.
+//! The persistent server: the coalescer behind the shared front end.
 //!
 //! A [`Server`] owns one shared [`EngineHandle`] and one scheduler thread
-//! running the [`crate::coalescer`] loop. Transports are thin: each client
-//! gets a reader (the transport's thread) that parses NDJSON request lines
-//! and submits admitted jobs into the intake queue, and a writer thread
-//! that drains the client's response channel back onto the wire. Two
-//! transports ship:
-//!
-//! * **pipe** — [`Server::serve_pipe`]: one client over a `BufRead`/`Write`
-//!   pair (stdin/stdout in the binary; in-memory buffers in tests and the
-//!   bench harness). Multiple sequential pipe sessions may run against one
-//!   server — the engine, caches and metrics persist across them.
-//! * **TCP** — [`Server::serve_tcp`]: a `std::net` accept loop, one
-//!   reader + writer thread pair per connection, all clients coalescing
-//!   into the same engine batches.
+//! running the [`crate::coalescer`] loop. Clients reach it through the
+//! shared [`crate::front`]: a pipe session ([`Server::serve_pipe`]) or a
+//! TCP accept loop ([`Server::serve_tcp`]) whose readers parse NDJSON
+//! request lines, admit jobs, and hand each admitted job to the server as a
+//! [`JobTicket`] on the intake queue. All clients coalesce into the same
+//! engine batches, and multiple sequential pipe sessions may run against
+//! one server — the engine, caches and metrics persist across them.
 //!
 //! Shutdown is graceful everywhere: EOF (pipe) or `{"cmd":"shutdown"}`
 //! (either transport) stops intake, the coalescer drains every admitted
@@ -24,18 +18,17 @@
 //! per-line syscall overhead.
 
 use crate::coalescer::{run_coalescer, CoalescerConfig, JobTicket, Submission};
+use crate::front::{self, Client, Counted, Front, PipeSummary, Tier};
 use crate::metrics::{ServeMetrics, ServeStats};
-use crate::protocol::{parse_request, Command, ErrorKind, Request, Response};
-use crate::session::{OutLine, Session, SessionRegistry};
+use crate::protocol::Response;
+use crate::session::{OutLine, Session};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use psq_engine::{EngineConfig, EngineHandle, SweepSpec};
-use psq_obs::trace::Span;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use psq_engine::{EngineConfig, EngineHandle, SearchJob};
+use std::io::{BufRead, Write};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server construction options.
 #[derive(Clone, Copy, Debug)]
@@ -72,31 +65,19 @@ impl Default for ServeConfig {
     }
 }
 
-/// What one pipe session saw (returned by [`Server::serve_pipe`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PipeSummary {
-    /// Request lines read (including commands and malformed lines).
-    pub lines_in: u64,
-    /// Whether the session ended on a `{"cmd":"shutdown"}`.
-    pub shutdown_requested: bool,
-}
-
-/// State shared by the server handle and every transport thread.
-struct ServerShared {
+/// The server's side of the front end: admitted jobs queue for the
+/// coalescer.
+struct ServerCore {
+    front: Front,
     engine: EngineHandle,
     /// Shared with every in-flight [`JobTicket`] (answer-on-drop needs it).
     stats: Arc<ServeStats>,
-    registry: SessionRegistry,
-    shutdown: AtomicBool,
-    max_inflight: u32,
-    idle_timeout: Option<Duration>,
-    max_sweep_points: usize,
-    started: Instant,
+    intake: Sender<Submission>,
 }
 
-impl ServerShared {
+impl ServerCore {
     fn metrics(&self) -> ServeMetrics {
-        let (clients, connected, total) = self.registry.snapshot();
+        let (clients, connected, total) = self.front.registry().snapshot();
         self.stats.snapshot(
             clients,
             connected,
@@ -106,237 +87,56 @@ impl ServerShared {
             self.engine.obs_snapshot(),
         )
     }
-
-    /// The `{"cmd":"health"}` answer: atomics and a clock read only, never
-    /// the engine lock — safe to probe at any frequency.
-    fn health(&self) -> Response {
-        Response::Health {
-            status: if self.shutdown.load(Ordering::SeqCst) {
-                "draining".to_string()
-            } else {
-                "ok".to_string()
-            },
-            queue_depth: self.stats.queue_depth(),
-            uptime_us: self.started.elapsed().as_micros() as u64,
-        }
-    }
 }
 
-/// A connected client as the transports (and in-process tests) drive it:
-/// feed request lines in, responses come out of the channel returned by
-/// [`Server::attach`].
-pub struct Client {
-    session: Arc<Session>,
-    intake: Sender<Submission>,
-    shared: Arc<ServerShared>,
-}
-
-/// What [`Client::submit_line`] tells the reader loop to do next.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LineOutcome {
-    /// Keep reading.
-    Continue,
-    /// The client asked the server to shut down; stop reading.
-    Stop,
-}
-
-impl Client {
-    /// Handles one request line end to end: parse, admission control,
-    /// submission or direct error/metrics response.
-    pub fn submit_line(&self, line: &str) -> LineOutcome {
-        let request = match parse_request(line) {
-            Ok(Some(request)) => request,
-            Ok(None) => return LineOutcome::Continue, // blank line
-            Err(reason) => {
-                self.refuse_line(reason);
-                return LineOutcome::Continue;
-            }
-        };
-        match request {
-            Request::Command(Command::Metrics) => {
-                self.session
-                    .send(Response::Metrics(Box::new(self.shared.metrics())).to_line());
-                LineOutcome::Continue
-            }
-            Request::Command(Command::Health) => {
-                self.session.send(self.shared.health().to_line());
-                LineOutcome::Continue
-            }
-            // Drain and shutdown share the stop machinery: intake closes,
-            // the coalescer flushes every admitted job, writers drain, and
-            // the session (drain) / server (shutdown) winds down. The
-            // distinct ack label lets a supervisor tell its own rolling
-            // restart from an operator shutdown.
-            Request::Command(command @ (Command::Drain | Command::Shutdown)) => {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-                // The marker makes the coalescer drain and stop even though
-                // other clients still hold intake senders.
-                let _ = self.intake.send(Submission::Shutdown);
-                self.session.send(
-                    Response::Ack {
-                        cmd: command.label().to_string(),
-                    }
-                    .to_line(),
-                );
-                self.shared.registry.kick_all();
-                LineOutcome::Stop
-            }
-            Request::Job { job, trace } => {
-                self.submit_job_traced(*job, trace);
-                LineOutcome::Continue
-            }
-            Request::Sweep { base, spec, trace } => {
-                self.submit_sweep(*base, &spec, trace);
-                LineOutcome::Continue
-            }
-            // Router vocabulary: refused exactly like an unknown command.
-            Request::Command(Command::Restart) => {
-                self.refuse_line(format!("unknown command `{}`", Command::Restart.label()));
-                LineOutcome::Continue
-            }
-        }
+impl Tier for ServerCore {
+    fn front(&self) -> &Front {
+        &self.front
     }
 
-    /// Answers a line that is not a request this server serves with a
-    /// `parse` error.
-    fn refuse_line(&self, reason: String) {
-        self.session.count_intake_error();
-        self.shared.stats.record_rejected_at_intake();
-        self.session.send(
-            Response::Error {
-                id: None,
-                kind: ErrorKind::Parse,
-                reason,
-            }
-            .to_line(),
-        );
-    }
-
-    /// Submits one already-parsed job (admission control applies) with no
-    /// trace id.
-    pub fn submit_job(&self, job: psq_engine::SearchJob) {
-        self.submit_job_traced(job, None);
-    }
-
-    /// Submits one already-parsed job (admission control applies). `trace`
-    /// is the cross-process trace id the job line carried, if any; stage
-    /// events for the job are tagged with it all the way down the engine.
-    pub fn submit_job_traced(&self, job: psq_engine::SearchJob, trace: Option<u64>) {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            self.session.count_intake_error();
-            self.shared.stats.record_rejected_at_intake();
-            self.session.send(
-                Response::Error {
-                    id: Some(job.id),
-                    kind: ErrorKind::ShuttingDown,
-                    reason: "server is draining; job was not executed".to_string(),
-                }
-                .to_line(),
-            );
-            return;
-        }
-        if let Err(reason) = job.validate() {
-            self.session.count_intake_error();
-            self.shared.stats.record_rejected_at_intake();
-            self.session.send(
-                Response::Error {
-                    id: Some(job.id),
-                    kind: ErrorKind::Invalid,
-                    reason,
-                }
-                .to_line(),
-            );
-            return;
-        }
-        if !self.session.try_admit() {
-            self.shared.stats.record_overloaded();
-            self.session.send(
-                Response::Error {
-                    id: Some(job.id),
-                    kind: ErrorKind::Overload,
-                    reason: format!(
-                        "client has {} jobs in flight (the per-client bound); \
-                         resubmit after results drain",
-                        self.shared.max_inflight
-                    ),
-                }
-                .to_line(),
-            );
-            return;
-        }
-        self.shared.stats.record_submitted();
-        let ticket = JobTicket::new(
-            Arc::clone(&self.session),
-            job,
-            Arc::clone(&self.shared.stats),
-            trace,
-        );
+    fn submit(
+        &self,
+        session: &Arc<Session>,
+        job: SearchJob,
+        trace: Option<u64>,
+    ) -> Result<(), String> {
+        self.stats.record_submitted();
+        let ticket = JobTicket::new(Arc::clone(session), job, Arc::clone(&self.stats), trace);
         // If the scheduler already stopped, the send hands the submission
         // back and the ticket's answer-on-drop serves the `shutting_down`
         // error — same for a ticket that lands in the queue just as the
         // scheduler's receiver is destroyed. No interleaving is silent.
         let _ = self.intake.send(Submission::Job(ticket));
+        Ok(())
     }
 
-    /// Expands one sweep request into per-point sub-jobs and submits each
-    /// through the ordinary job path, so every grid point is individually
-    /// subject to validation, admission control and inflight accounting. A
-    /// grid larger than the configured cap is refused whole — no partial
-    /// expansion — with a `sweep_too_large` error naming both sizes.
-    pub fn submit_sweep(&self, base: psq_engine::SearchJob, spec: &SweepSpec, trace: Option<u64>) {
-        let points = spec.point_count();
-        if points > self.shared.max_sweep_points {
-            self.session.count_intake_error();
-            self.shared.stats.record_sweep_rejected();
-            self.session.send(
-                Response::Error {
-                    id: Some(base.id),
-                    kind: ErrorKind::SweepTooLarge,
-                    reason: format!(
-                        "sweep expands to {points} grid points (cap {}); \
-                         split the grid across requests",
-                        self.shared.max_sweep_points
-                    ),
-                }
-                .to_line(),
-            );
-            return;
-        }
-        let span = Span::enter_always(psq_obs::trace::stage::SWEEP_EXPAND);
-        let expanded = spec.expand(&base);
-        span.finish_traced(base.id, trace);
-        let jobs = match expanded {
-            Ok(jobs) => jobs,
-            Err(reason) => {
-                self.session.count_intake_error();
-                self.shared.stats.record_rejected_at_intake();
-                self.session.send(
-                    Response::Error {
-                        id: Some(base.id),
-                        kind: ErrorKind::Invalid,
-                        reason,
-                    }
-                    .to_line(),
-                );
-                return;
-            }
-        };
-        self.shared.stats.record_sweep(jobs.len() as u64);
-        for job in jobs {
-            self.submit_job_traced(job, trace);
+    fn count(&self, counted: Counted) {
+        match counted {
+            Counted::Error => self.stats.record_rejected_at_intake(),
+            Counted::Overload => self.stats.record_overloaded(),
+            Counted::SweepTooLarge => self.stats.record_sweep_rejected(),
+            Counted::Sweep(points) => self.stats.record_sweep(points),
         }
     }
 
-    /// This client's session (for counters and shutdown hooks).
-    pub fn session(&self) -> &Arc<Session> {
-        &self.session
+    fn metrics_line(&self) -> String {
+        Response::Metrics(Box::new(self.metrics())).to_line()
+    }
+
+    fn queue_depth(&self) -> u64 {
+        self.stats.queue_depth()
+    }
+
+    /// The marker makes the coalescer drain and stop even though clients
+    /// still hold the intake.
+    fn stop(&self) {
+        let _ = self.intake.send(Submission::Shutdown);
     }
 }
 
 /// The streaming, multi-client serving layer over one shared engine.
 pub struct Server {
-    shared: Arc<ServerShared>,
-    intake: Sender<Submission>,
+    core: Arc<ServerCore>,
     scheduler: Option<JoinHandle<()>>,
 }
 
@@ -349,29 +149,29 @@ impl Server {
     /// Starts the serving layer over an existing engine handle (the engine
     /// may be shared with other, non-serving work).
     pub fn with_engine(engine: EngineHandle, config: ServeConfig) -> Self {
-        let shared = Arc::new(ServerShared {
-            engine,
-            stats: Arc::new(ServeStats::default()),
-            registry: SessionRegistry::default(),
-            shutdown: AtomicBool::new(false),
-            max_inflight: config.max_inflight.max(1),
-            idle_timeout: config.idle_timeout,
-            max_sweep_points: config.max_sweep_points.max(1),
-            started: Instant::now(),
-        });
+        let stats = Arc::new(ServeStats::default());
         let (intake, intake_rx): (Sender<Submission>, Receiver<Submission>) = unbounded();
         let scheduler = {
-            let shared = Arc::clone(&shared);
+            let engine = engine.clone();
+            let stats = Arc::clone(&stats);
             std::thread::Builder::new()
                 .name("psq-serve-coalescer".to_string())
-                .spawn(move || {
-                    run_coalescer(&shared.engine, &intake_rx, &shared.stats, config.coalescer)
-                })
+                .spawn(move || run_coalescer(&engine, &intake_rx, &stats, config.coalescer))
                 .expect("failed to spawn the coalescer thread")
         };
+        let front = Front::new(
+            "server",
+            config.max_inflight.max(1),
+            config.idle_timeout,
+            config.max_sweep_points.max(1),
+        );
         Self {
-            shared,
-            intake,
+            core: Arc::new(ServerCore {
+                front,
+                engine,
+                stats,
+                intake,
+            }),
             scheduler: Some(scheduler),
         }
     }
@@ -380,31 +180,22 @@ impl Server {
     /// response lines arrive on. Transports hand the receiver to a writer
     /// thread; in-process callers drain it directly.
     pub fn attach(&self) -> (Client, Receiver<OutLine>) {
-        let (tx, rx) = unbounded();
-        let session = self.shared.registry.attach(tx, self.shared.max_inflight);
-        (
-            Client {
-                session,
-                intake: self.intake.clone(),
-                shared: Arc::clone(&self.shared),
-            },
-            rx,
-        )
+        front::attach(self.core.clone())
     }
 
     /// The shared engine.
     pub fn engine(&self) -> &EngineHandle {
-        &self.shared.engine
+        &self.core.engine
     }
 
     /// A metrics snapshot (same data a `{"cmd":"metrics"}` line returns).
     pub fn metrics(&self) -> ServeMetrics {
-        self.shared.metrics()
+        self.core.metrics()
     }
 
     /// Whether a shutdown command has been observed.
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.core.front.draining()
     }
 
     /// Binds `addr` (the `--metrics-addr` flag) and serves a freshly
@@ -414,72 +205,36 @@ impl Server {
     /// `cat < /dev/tcp/HOST/PORT`. Returns the bound address so callers
     /// may pass port 0.
     pub fn serve_exposition(&self, addr: &str) -> std::io::Result<std::net::SocketAddr> {
-        let shared = Arc::clone(&self.shared);
+        let core = Arc::clone(&self.core);
         psq_obs::expo::serve_text(addr, move || {
             let mut expo = psq_obs::Exposition::new();
-            shared.metrics().write_exposition(&mut expo, "psq_serve");
+            core.metrics().write_exposition(&mut expo, "psq_serve");
             expo.render()
         })
     }
 
     /// Serves one client over a reader/writer pair until EOF or a shutdown
-    /// command. The server survives the call: caches, metrics and the
-    /// scheduler keep running, and further pipe or TCP sessions may follow.
+    /// command ([`front::serve_pipe`]). The server survives the call:
+    /// caches, metrics and the scheduler keep running, and further pipe or
+    /// TCP sessions may follow.
     pub fn serve_pipe<R, W>(&self, reader: R, writer: W) -> std::io::Result<PipeSummary>
     where
         R: BufRead,
         W: Write + Send + 'static,
     {
-        let (client, responses) = self.attach();
-        let writer_thread = spawn_writer("psq-serve-pipe-writer", responses, writer);
-        let mut summary = PipeSummary::default();
-        for line in reader.lines() {
-            let line = line?;
-            summary.lines_in += 1;
-            if client.submit_line(&line) == LineOutcome::Stop {
-                summary.shutdown_requested = true;
-                break;
-            }
-        }
-        drop(client); // writer exits once every in-flight job is answered
-        writer_thread
-            .join()
-            .map_err(|_| std::io::Error::other("pipe writer thread panicked"))??;
-        Ok(summary)
+        front::serve_pipe(self.core.clone(), reader, writer)
     }
 
     /// Accepts TCP clients until a shutdown command arrives from any of
-    /// them, then drains and joins every connection. Each connection is a
-    /// full protocol peer: its jobs coalesce with every other client's.
+    /// them, then drains and joins every connection ([`front::serve_tcp`]).
     pub fn serve_tcp(&self, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut connections: Vec<JoinHandle<()>> = Vec::new();
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
-                    let (client, responses) = self.attach();
-                    connections.push(spawn_connection(
-                        client,
-                        responses,
-                        stream,
-                        self.shared.idle_timeout,
-                    )?);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Reap finished connections so a long-lived server's
-                    // handle list tracks concurrent clients, not lifetime
-                    // totals.
-                    connections.retain(|connection| !connection.is_finished());
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        for connection in connections {
-            let _ = connection.join();
-        }
-        Ok(())
+        front::serve_tcp(self.core.clone(), listener)
+    }
+
+    /// Serves the process's clients over TCP on `tcp`, or else on
+    /// stdin/stdout ([`front::serve_stdio_or_tcp`]).
+    pub fn serve_stdio_or_tcp(&self, tcp: Option<&str>, program: &str) -> std::io::Result<()> {
+        front::serve_stdio_or_tcp(self.core.clone(), tcp, program)
     }
 
     /// Stops intake, drains the scheduler, and joins it (same as dropping
@@ -491,8 +246,8 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.intake.send(Submission::Shutdown);
+        self.core.front.drain();
+        self.core.stop();
         if let Some(scheduler) = self.scheduler.take() {
             let _ = scheduler.join();
         }
@@ -546,66 +301,14 @@ pub fn spawn_writer<W: Write + Send + 'static>(
         .expect("failed to spawn a writer thread")
 }
 
-/// Spawns the reader+writer pair for one TCP connection. The reader runs on
-/// the spawned thread; the writer gets its own. The session's shutdown kick
-/// closes the stream so an idle reader unblocks when the server drains, and
-/// `idle_timeout` bounds how long a silent client can pin the reader thread:
-/// when no line arrives within the window the session closes cleanly (every
-/// in-flight job is still answered before the writer exits).
-fn spawn_connection(
-    client: Client,
-    responses: Receiver<OutLine>,
-    stream: TcpStream,
-    idle_timeout: Option<Duration>,
-) -> std::io::Result<JoinHandle<()>> {
-    stream.set_read_timeout(idle_timeout)?;
-    let write_half = stream.try_clone()?;
-    let kick_half = stream.try_clone()?;
-    client.session().set_kick(Box::new(move || {
-        let _ = kick_half.shutdown(std::net::Shutdown::Read);
-    }));
-    std::thread::Builder::new()
-        .name("psq-serve-tcp-conn".to_string())
-        .spawn(move || {
-            let writer_thread = spawn_writer("psq-serve-tcp-writer", responses, write_half);
-            let mut reader = BufReader::new(&stream);
-            let mut line = String::new();
-            loop {
-                line.clear();
-                match reader.read_line(&mut line) {
-                    Ok(0) => break, // EOF
-                    Ok(_) => {
-                        let trimmed = line.trim_end_matches(['\n', '\r']);
-                        if client.submit_line(trimmed) == LineOutcome::Stop {
-                            break;
-                        }
-                    }
-                    // A read timeout (reported as WouldBlock on Unix,
-                    // TimedOut on Windows) means the client went silent:
-                    // close the session instead of pinning the thread.
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        break;
-                    }
-                    Err(_) => break,
-                }
-            }
-            drop(client);
-            let _ = writer_thread.join();
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        })
-        .map_err(std::io::Error::other)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::parse_response;
+    use crate::front::LineOutcome;
+    use crate::protocol::{parse_response, ErrorKind};
     use psq_engine::{generate_mixed_batch, SearchJob};
+    use std::io::BufReader;
+    use std::time::Instant;
 
     fn tiny_config() -> ServeConfig {
         ServeConfig {
@@ -696,6 +399,12 @@ mod tests {
         }
         assert_eq!(server.metrics().sweeps_rejected, 1);
         assert_eq!(server.metrics().jobs_submitted, 0);
+        let metrics = server.metrics();
+        assert_eq!(
+            metrics.jobs_errored + metrics.jobs_overloaded,
+            1,
+            "the counters add up to the error lines sent"
+        );
         server.finish();
     }
 

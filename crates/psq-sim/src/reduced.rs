@@ -145,12 +145,6 @@ impl ReducedState {
             + (b - 1.0) * self.amp_target_block * self.amp_target_block
     }
 
-    /// Probability of the measurement landing outside the target block.
-    pub fn nontarget_probability(&self) -> f64 {
-        let b = self.block_size();
-        (self.n - b) * self.amp_nontarget * self.amp_nontarget
-    }
-
     /// Mean amplitude over the whole register.
     pub fn mean_amplitude(&self) -> f64 {
         let b = self.block_size();
